@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -222,14 +223,13 @@ class WindowAssembler:
 
     def __init__(self, track_id: int):
         self.track_id = track_id
-        self.steps: list[np.ndarray] = []
+        self.steps: deque[np.ndarray] = deque(maxlen=WINDOW_STEPS)
 
     def push(self, step: np.ndarray, end_frame_idx: int) -> Optional[FeatureWindow]:
         self.steps.append(np.asarray(step, dtype=float))
         if len(self.steps) < WINDOW_STEPS:
             return None
-        return FeatureWindow(np.stack(self.steps[-WINDOW_STEPS:]),
-                             self.track_id, end_frame_idx)
+        return FeatureWindow(np.stack(self.steps), self.track_id, end_frame_idx)
 
 
 def mask_for_groups(groups: Iterable[str]) -> np.ndarray:

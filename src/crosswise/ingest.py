@@ -25,6 +25,8 @@ CONDITIONS = ("day", "night", "rain")
 
 N_KEYPOINTS = 17
 KP_NOSE, KP_LEFT_SHOULDER, KP_RIGHT_SHOULDER = 0, 5, 6
+_KP_LOW = np.array([-np.finfo(float).max, -np.finfo(float).max, 0.0])
+_KP_HIGH = np.array([np.finfo(float).max, np.finfo(float).max, 1.0])
 
 
 class StreamFormatError(ValueError):
@@ -35,6 +37,12 @@ class StreamFormatError(ValueError):
         self.line_no = line_no
 
 
+def _check_bbox_finite(bbox) -> None:
+    # json.loads accepts NaN and Infinity, and comparisons let NaN through
+    if not all(map(math.isfinite, bbox)):
+        raise ValueError(f"bbox values must be finite: {bbox}")
+
+
 @dataclass(frozen=True)
 class Detection:
     bbox: tuple[float, float, float, float]  # x, y, w, h in the full frame
@@ -42,6 +50,7 @@ class Detection:
     conf: float
 
     def __post_init__(self):
+        _check_bbox_finite(self.bbox)
         if self.bbox[2] <= 0 or self.bbox[3] <= 0:
             raise ValueError(f"detection bbox must have positive size: {self.bbox}")
         if not 0.0 <= self.conf <= 1.0:
@@ -63,11 +72,13 @@ class PoseDetection:
     keypoints: np.ndarray  # (17, 3) of x, y, conf
 
     def __post_init__(self):
+        _check_bbox_finite(self.bbox)
         kps = np.asarray(self.keypoints, dtype=float)
         if kps.shape != (N_KEYPOINTS, 3):
             raise ValueError(f"expected {N_KEYPOINTS} keypoints, got shape {kps.shape}")
-        if np.any(kps[:, 2] < 0.0) or np.any(kps[:, 2] > 1.0):
-            raise ValueError("keypoint confidences out of [0,1]")
+        # one pass: NaN fails every comparison, and +-inf falls outside the bounds
+        if not ((kps >= _KP_LOW) & (kps <= _KP_HIGH)).all():
+            raise ValueError("keypoint x, y must be finite and confidences in [0,1]")
         object.__setattr__(self, "keypoints", kps)
 
     @property
@@ -121,7 +132,7 @@ def _record_from_obj(obj: dict, line_no: int) -> FrameRecord:
         return FrameRecord(int(obj["frame"]), int(obj["ts_ms"]), dets, poses)
     except StreamFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise StreamFormatError(line_no, str(exc)) from exc
 
 

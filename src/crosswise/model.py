@@ -21,9 +21,11 @@ finite-difference gradient checks rely on that.
 
 from __future__ import annotations
 
+import base64
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -31,7 +33,8 @@ import numpy as np
 
 from .features import FEATURE_DIM, LAYOUT_HASH, FeatureWindow
 
-WEIGHT_FILE_VERSION = 1
+WEIGHT_FILE_VERSION = 2
+_WEIGHT_DTYPES = ("float32", "float64")
 
 
 class ModelError(ValueError):
@@ -52,16 +55,15 @@ class ModelConfig:
     pooling: str = "mean"  # or "last"
 
     def __post_init__(self):
+        dims = (self.d_in, self.d_h, self.n_heads, self.d_ff)
+        if not all(isinstance(v, (int, np.integer)) and v > 0 for v in dims):
+            raise ModelError(f"d_in, d_h, n_heads, d_ff must be positive integers: {dims}")
         if self.d_h % self.n_heads != 0:
             raise ModelError(f"d_h={self.d_h} not divisible by n_heads={self.n_heads}")
         if self.pooling not in ("mean", "last"):
             raise ModelError(f"unknown pooling {self.pooling!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ModelError("dropout must be in [0, 1)")
-
-    @property
-    def d_model(self) -> int:
-        return self.d_h
 
 
 @dataclass
@@ -102,65 +104,70 @@ class HeadParams:
     b2: np.ndarray
 
 
-_GRU_FIELDS = ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h")
-_ATTN_FIELDS = ("w_q", "w_k", "w_v", "w_o", "w_ff1", "b_ff1", "w_ff2", "b_ff2",
-                "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias")
-_HEAD_FIELDS = ("w1", "b1", "w2", "b2")
+@functools.lru_cache(maxsize=None)
+def _layout(config: ModelConfig) -> tuple[tuple, int]:
+    """The one list of parameter tensors: ((name, shape, start, stop), ...) in
+    flat-buffer order, and the buffer size. Field order matches the dataclasses."""
+    d, dm, dff = config.d_in, config.d_h, config.d_ff
+    shapes = []
+    for i, d_in in enumerate((d, dm)):
+        shapes += [(f"gru{i}.w_{g}", (d_in, dm)) for g in "zrh"]
+        shapes += [(f"gru{i}.u_{g}", (dm, dm)) for g in "zrh"]
+        shapes += [(f"gru{i}.b_{g}", (dm,)) for g in "zrh"]
+    shapes += [(f"attn.w_{p}", (dm, dm)) for p in "qkvo"]
+    shapes += [("attn.w_ff1", (dm, dff)), ("attn.b_ff1", (dff,)),
+               ("attn.w_ff2", (dff, dm)), ("attn.b_ff2", (dm,))]
+    shapes += [(f"attn.ln{i}_{p}", (dm,)) for i in (1, 2) for p in ("gain", "bias")]
+    shapes += [("head.w1", (dm, 64)), ("head.b1", (64,)),
+               ("head.w2", (64, 1)), ("head.b2", (1,))]
+    entries, start = [], 0
+    for name, shape in shapes:
+        stop = start + math.prod(shape)
+        entries.append((name, shape, start, stop))
+        start = stop
+    return tuple(entries), start
 
 
 @dataclass
 class ModelParams:
+    """All parameters in one contiguous 1-D buffer, ordered by ``_layout``.
+
+    ``gru``, ``attn`` and ``head`` are views into ``flat``, so writes through
+    them (or through ``named_tensors``) land in the buffer.
+    """
+
     config: ModelConfig
-    gru: list[GruLayerParams]
-    attn: AttentionParams
-    head: HeadParams
-    version: int = WEIGHT_FILE_VERSION
+    flat: np.ndarray
     layout_hash: str = LAYOUT_HASH
+    gru: list[GruLayerParams] = field(init=False, repr=False)
+    attn: AttentionParams = field(init=False, repr=False)
+    head: HeadParams = field(init=False, repr=False)
+
+    def __post_init__(self):
+        size = _layout(self.config)[1]
+        if self.flat.shape != (size,) or not self.flat.flags.c_contiguous:
+            raise ModelError(f"parameter buffer must be contiguous ({size},), "
+                             f"got {self.flat.shape}")
+        groups: dict[str, dict[str, np.ndarray]] = {}
+        for name, tensor in self.named_tensors():
+            owner, attr = name.split(".")
+            groups.setdefault(owner, {})[attr] = tensor
+        self.gru = [GruLayerParams(**groups["gru0"]), GruLayerParams(**groups["gru1"])]
+        self.attn = AttentionParams(**groups["attn"], n_heads=self.config.n_heads)
+        self.head = HeadParams(**groups["head"])
 
     def named_tensors(self) -> Iterator[tuple[str, np.ndarray]]:
-        for i, layer in enumerate(self.gru):
-            for name in _GRU_FIELDS:
-                yield f"gru{i}.{name}", getattr(layer, name)
-        for name in _ATTN_FIELDS:
-            yield f"attn.{name}", getattr(self.attn, name)
-        for name in _HEAD_FIELDS:
-            yield f"head.{name}", getattr(self.head, name)
-
-    def get_tensor(self, name: str) -> np.ndarray:
-        owner, attr = name.split(".")
-        if owner.startswith("gru"):
-            return getattr(self.gru[int(owner[3:])], attr)
-        return getattr(self.attn if owner == "attn" else self.head, attr)
+        for name, shape, start, stop in _layout(self.config)[0]:
+            yield name, self.flat[start:stop].reshape(shape)
 
     def n_params(self) -> int:
-        return sum(t.size for _, t in self.named_tensors())
+        return self.flat.size
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            config=self.config,
-            gru=[GruLayerParams(**{f: getattr(l, f).copy() for f in _GRU_FIELDS})
-                 for l in self.gru],
-            attn=AttentionParams(
-                **{f: getattr(self.attn, f).copy() for f in _ATTN_FIELDS},
-                n_heads=self.attn.n_heads),
-            head=HeadParams(**{f: getattr(self.head, f).copy() for f in _HEAD_FIELDS}),
-            version=self.version,
-            layout_hash=self.layout_hash,
-        )
+        return ModelParams(self.config, self.flat.copy(), self.layout_hash)
 
     def astype(self, dtype) -> "ModelParams":
-        return ModelParams(
-            config=self.config,
-            gru=[GruLayerParams(**{f: getattr(l, f).astype(dtype) for f in _GRU_FIELDS})
-                 for l in self.gru],
-            attn=AttentionParams(
-                **{f: getattr(self.attn, f).astype(dtype) for f in _ATTN_FIELDS},
-                n_heads=self.attn.n_heads),
-            head=HeadParams(**{f: getattr(self.head, f).astype(dtype)
-                               for f in _HEAD_FIELDS}),
-            version=self.version,
-            layout_hash=self.layout_hash,
-        )
+        return ModelParams(self.config, self.flat.astype(dtype), self.layout_hash)
 
 
 @dataclass(frozen=True)
@@ -180,37 +187,24 @@ class Prediction:
 
 # --- initialization ----------------------------------------------------------
 
-
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, dtype) -> np.ndarray:
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, (fan_in, fan_out)).astype(dtype)
+# Weight matrices are drawn owner by owner in this order, not in layout order;
+# changing it would change the initial weights of every seed.
+_INIT_DRAW_ORDER = ("attn", "head", "gru0", "gru1")
 
 
 def init_params(config: ModelConfig, seed: int = 0, dtype=np.float64) -> ModelParams:
     """Xavier-uniform weights, zero biases, unit layer-norm gains."""
     rng = np.random.default_rng(seed)
-    d, dm, dff = config.d_in, config.d_model, config.d_ff
-
-    def gru_layer(d_in: int) -> GruLayerParams:
-        return GruLayerParams(
-            w_z=_xavier(rng, d_in, dm, dtype), w_r=_xavier(rng, d_in, dm, dtype),
-            w_h=_xavier(rng, d_in, dm, dtype),
-            u_z=_xavier(rng, dm, dm, dtype), u_r=_xavier(rng, dm, dm, dtype),
-            u_h=_xavier(rng, dm, dm, dtype),
-            b_z=np.zeros(dm, dtype), b_r=np.zeros(dm, dtype), b_h=np.zeros(dm, dtype))
-
-    attn = AttentionParams(
-        w_q=_xavier(rng, dm, dm, dtype), w_k=_xavier(rng, dm, dm, dtype),
-        w_v=_xavier(rng, dm, dm, dtype), w_o=_xavier(rng, dm, dm, dtype),
-        w_ff1=_xavier(rng, dm, dff, dtype), b_ff1=np.zeros(dff, dtype),
-        w_ff2=_xavier(rng, dff, dm, dtype), b_ff2=np.zeros(dm, dtype),
-        ln1_gain=np.ones(dm, dtype), ln1_bias=np.zeros(dm, dtype),
-        ln2_gain=np.ones(dm, dtype), ln2_bias=np.zeros(dm, dtype),
-        n_heads=config.n_heads)
-    head = HeadParams(w1=_xavier(rng, dm, 64, dtype), b1=np.zeros(64, dtype),
-                      w2=_xavier(rng, 64, 1, dtype), b2=np.zeros(1, dtype))
-    return ModelParams(config=config, gru=[gru_layer(d), gru_layer(dm)],
-                       attn=attn, head=head)
+    params = ModelParams(config, np.zeros(_layout(config)[1], dtype))
+    weights = sorted(((n, t) for n, t in params.named_tensors() if t.ndim == 2),
+                     key=lambda nt: _INIT_DRAW_ORDER.index(nt[0].split(".")[0]))
+    for _, w in weights:
+        fan_in, fan_out = w.shape
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        w[...] = rng.uniform(-limit, limit, w.shape)
+    params.attn.ln1_gain[...] = 1.0
+    params.attn.ln2_gain[...] = 1.0
+    return params
 
 
 # --- primitives --------------------------------------------------------------
@@ -395,7 +389,7 @@ def forward_batch(x: np.ndarray, params: ModelParams, mode: str = "infer",
     if params.layout_hash != LAYOUT_HASH:
         raise LayoutMismatchError(
             f"weights built for layout {params.layout_hash}, code has {LAYOUT_HASH}")
-    dtype = params.head.w1.dtype
+    dtype = params.flat.dtype
     x = np.asarray(x).astype(dtype, copy=False)
     if x.ndim != 3 or x.shape[2] != params.config.d_in:
         raise ModelError(f"expected (B, T, {params.config.d_in}) input, got {x.shape}")
@@ -575,32 +569,17 @@ def backward_batch(cache: dict, y: np.ndarray, params: ModelParams
     return grads
 
 
-def backward(cache: dict, y: int, params: ModelParams) -> dict[str, np.ndarray]:
-    """Single-window convenience wrapper around backward_batch."""
-    return backward_batch(cache, np.array([float(y)]), params)
-
-
 # --- serialization ------------------------------------------------------------
 
 
 def params_to_json_bytes(params: ModelParams) -> bytes:
-    dtype = next(params.named_tensors())[1].dtype
+    flat = params.flat
+    little_endian = flat.astype(flat.dtype.newbyteorder("<"), copy=False)
     obj = {
-        "version": params.version,
+        "version": WEIGHT_FILE_VERSION,
         "layout_hash": params.layout_hash,
-        "config": {
-            "d_in": params.config.d_in,
-            "d_h": params.config.d_h,
-            "n_heads": params.config.n_heads,
-            "d_ff": params.config.d_ff,
-            "pooling": params.config.pooling,
-            "dropout": params.config.dropout,
-            "dtype": str(np.dtype(dtype)),
-        },
-        "tensors": {
-            name: {"shape": list(t.shape), "data": t.astype(np.float64).ravel().tolist()}
-            for name, t in params.named_tensors()
-        },
+        "config": {**asdict(params.config), "dtype": flat.dtype.name},
+        "flat": base64.b64encode(little_endian.tobytes()).decode("ascii"),
     }
     return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
@@ -610,26 +589,29 @@ def save_params(params: ModelParams, path: str | Path) -> None:
 
 
 def load_params(path: str | Path) -> ModelParams:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    if obj.get("version") != WEIGHT_FILE_VERSION:
-        raise ModelError(f"unsupported weight file version {obj.get('version')}")
-    cfg = obj["config"]
-    config = ModelConfig(d_in=cfg["d_in"], d_h=cfg["d_h"], n_heads=cfg["n_heads"],
-                         d_ff=cfg["d_ff"], dropout=cfg["dropout"],
-                         pooling=cfg["pooling"])
-    dtype = np.dtype(cfg.get("dtype", "float64"))
-    params = init_params(config, seed=0, dtype=dtype)
-    params.layout_hash = obj["layout_hash"]
-    expected = {name for name, _ in params.named_tensors()}
-    found = set(obj["tensors"])
-    if expected != found:
-        raise ModelError(f"weight file tensor mismatch: missing {expected - found}, "
-                         f"unexpected {found - expected}")
-    for name, entry in obj["tensors"].items():
-        target = params.get_tensor(name)
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        if arr.shape != target.shape:
-            raise ModelError(f"tensor {name} has shape {arr.shape}, "
-                             f"expected {target.shape}")
-        target[...] = arr.astype(dtype)
-    return params
+    """Read a version-2 weight file; anything malformed raises ModelError."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ModelError(f"weight file is not JSON: {exc}") from exc
+    version = obj.get("version") if isinstance(obj, dict) else None
+    if version != WEIGHT_FILE_VERSION:
+        raise ModelError(f"unsupported weight file version {version!r}; "
+                         f"only version {WEIGHT_FILE_VERSION} is read")
+    try:
+        cfg = obj["config"]
+        config = ModelConfig(**{f.name: cfg[f.name] for f in fields(ModelConfig)})
+        dtype_name, layout_hash = cfg["dtype"], obj["layout_hash"]
+        raw = base64.b64decode(obj["flat"], validate=True)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelError(f"malformed weight file: {exc!r}") from exc
+    if dtype_name not in _WEIGHT_DTYPES:
+        raise ModelError(f"weight file dtype {dtype_name!r} is not one of {_WEIGHT_DTYPES}")
+    dtype = np.dtype(dtype_name)
+    size = _layout(config)[1]
+    if len(raw) != size * dtype.itemsize:
+        raise ModelError(f"weight buffer holds {len(raw)} bytes, "
+                         f"the layout needs {size * dtype.itemsize}")
+    # astype copies out of the read-only bytes into a writable native array
+    return ModelParams(config, np.frombuffer(raw, dtype.newbyteorder("<")).astype(dtype),
+                       layout_hash)

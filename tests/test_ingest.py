@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -94,6 +95,76 @@ class TestValidation:
     def test_spec_bad_dropout(self):
         with pytest.raises(ValueError):
             ScenarioSpec(n_vrus=1, dropout=1.0)
+
+
+class TestNonFinite:
+    """json.loads accepts NaN and Infinity; ingest must reject them by line."""
+
+    @staticmethod
+    def stream_with_bad_second_line(tmp_path, edit):
+        path = tmp_path / "nf.jsonl"
+        write_stream([make_record(0, 0)], path)
+        obj = json.loads(path.read_text())
+        obj["frame"], obj["ts_ms"] = 1, 50
+        edit(obj)
+        with open(path, "a") as fh:
+            fh.write(json.dumps(obj) + "\n")   # writes NaN / Infinity literals
+        return path
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_detection_bbox(self, tmp_path, bad, slot):
+        path = self.stream_with_bad_second_line(
+            tmp_path, lambda o: o["dets"][0]["bbox"].__setitem__(slot, bad))
+        with pytest.raises(StreamFormatError, match="line 2") as exc:
+            list(read_stream(path))
+        assert exc.value.line_no == 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_detection_conf(self, tmp_path, bad):
+        path = self.stream_with_bad_second_line(
+            tmp_path, lambda o: o["dets"][0].__setitem__("conf", bad))
+        with pytest.raises(StreamFormatError, match="line 2"):
+            list(read_stream(path))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_pose_bbox(self, tmp_path, bad, slot):
+        path = self.stream_with_bad_second_line(
+            tmp_path, lambda o: o["poses"][0]["bbox"].__setitem__(slot, bad))
+        with pytest.raises(StreamFormatError, match="line 2"):
+            list(read_stream(path))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("col", [0, 1, 2])
+    def test_keypoint_value(self, tmp_path, bad, col):
+        path = self.stream_with_bad_second_line(
+            tmp_path, lambda o: o["poses"][0]["kps"][7].__setitem__(col, bad))
+        with pytest.raises(StreamFormatError, match="line 2"):
+            list(read_stream(path))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["frame", "ts_ms"])
+    def test_frame_and_timestamp(self, tmp_path, bad, key):
+        path = self.stream_with_bad_second_line(tmp_path, lambda o: o.__setitem__(key, bad))
+        with pytest.raises(StreamFormatError, match="line 2"):
+            list(read_stream(path))
+
+    def test_detection_with_nan_bbox_not_constructible(self):
+        with pytest.raises(ValueError, match="finite"):
+            Detection((math.nan, 1.0, math.inf, 5.0), "pedestrian", 0.5)
+
+    def test_pose_with_nan_keypoint_not_constructible(self):
+        kps = np.full((17, 3), 0.5)
+        kps[3, 1] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            PoseDetection((0.0, 0.0, 10.0, 10.0), kps)
+
+    def test_huge_finite_keypoints_accepted(self):
+        kps = np.full((17, 3), 0.5)
+        kps[:, :2] = np.finfo(float).max
+        np.testing.assert_array_equal(
+            PoseDetection((0.0, 0.0, 10.0, 10.0), kps).keypoints, kps)
 
 
 class TestGenerator:

@@ -1,7 +1,12 @@
+import base64
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosswise.features import FEATURE_DIM, FeatureWindow
 from crosswise.model import (AttentionParams, GruLayerParams, LayoutMismatchError,
@@ -10,6 +15,7 @@ from crosswise.model import (AttentionParams, GruLayerParams, LayoutMismatchErro
                              forward_batch, gru_cell, gru_forward, init_params,
                              load_params, multi_head_attention, save_params,
                              softmax_last)
+from crosswise.model import WEIGHT_FILE_VERSION, ModelParams
 
 
 def random_gru_layer(rng, d_in, d_h):
@@ -388,3 +394,132 @@ class TestSerialization:
             n = init_params(cfg, seed=0).n_params()
             base = base or n
             assert n == base
+
+    @staticmethod
+    def saved_obj(tmp_path, dtype=np.float64):
+        cfg = ModelConfig(d_in=FEATURE_DIM, d_h=16, n_heads=2, d_ff=12)
+        params = init_params(cfg, seed=23).astype(dtype)
+        path = tmp_path / "w.json"
+        save_params(params, path)
+        return params, path, json.loads(path.read_text())
+
+    def test_version_1_file_refused(self, tmp_path):
+        params, path, obj = self.saved_obj(tmp_path)
+        del obj["flat"]
+        obj["version"] = 1
+        obj["tensors"] = {name: {"shape": list(t.shape), "data": t.ravel().tolist()}
+                          for name, t in params.named_tensors()}
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ModelError, match="version 1"):
+            load_params(path)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_truncated_buffer_refused(self, tmp_path, dtype):
+        _, path, obj = self.saved_obj(tmp_path, dtype)
+        raw = base64.b64decode(obj["flat"])
+        obj["flat"] = base64.b64encode(raw[:-np.dtype(dtype).itemsize]).decode()
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ModelError, match="bytes"):
+            load_params(path)
+
+    def test_int8_dtype_refused(self, tmp_path):
+        _, path, obj = self.saved_obj(tmp_path)
+        obj["config"]["dtype"] = "int8"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ModelError, match="int8"):
+            load_params(path)
+
+    @pytest.mark.parametrize("blob", ["not*base64!", "QUJD", 42])
+    def test_bad_base64_refused(self, tmp_path, blob):
+        _, path, obj = self.saved_obj(tmp_path)
+        obj["flat"] = blob
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ModelError):
+            load_params(path)
+
+    def test_missing_field_refused(self, tmp_path):
+        _, path, obj = self.saved_obj(tmp_path)
+        del obj["config"]["d_ff"]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ModelError, match="d_ff"):
+            load_params(path)
+
+    @pytest.mark.parametrize("key,value", [("n_heads", 0), ("d_h", -16), ("d_ff", 2.5)])
+    def test_bad_config_refused(self, tmp_path, key, value):
+        _, path, obj = self.saved_obj(tmp_path)
+        obj["config"][key] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ModelError):
+            load_params(path)
+
+    def test_loaded_buffer_is_writable(self, tmp_path):
+        params, path, obj = self.saved_obj(tmp_path, np.float32)
+        assert obj["version"] == WEIGHT_FILE_VERSION
+        loaded = load_params(path)
+        assert loaded.flat.flags.writeable
+        loaded.head.b2[...] = 3.0
+        assert loaded.flat[-1] == 3.0
+
+
+def params_digest(params: ModelParams) -> str:
+    h = hashlib.sha256()
+    for _, t in params.named_tensors():
+        h.update(t.tobytes())
+    return h.hexdigest()
+
+
+class TestParameterBuffer:
+    def test_golden_init_small_float64(self):
+        params = init_params(ModelConfig(d_h=16, n_heads=2, d_ff=12), seed=0)
+        assert params.n_params() == 5821
+        assert params_digest(params) == \
+            "95340014677ac48de567bab1a2b40c06db54a932298c77761d9c97248706c325"
+
+    def test_golden_init_bench_float32(self):
+        params = init_params(ModelConfig(), seed=20250509, dtype=np.float32)
+        assert params.n_params() == 1146241
+        assert params_digest(params) == \
+            "9b38c2dda2e664b9092dd853c8c88cf4cdceb12e43b92c739a60f1a0f64e2d82"
+
+    def test_wrong_buffer_size_refused(self):
+        cfg = ModelConfig(d_in=4, d_h=4, n_heads=2, d_ff=4)
+        n = init_params(cfg).n_params()
+        with pytest.raises(ModelError):
+            ModelParams(cfg, np.zeros(n + 1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(d_in=st.integers(1, 8), n_heads=st.integers(1, 3), d_k=st.integers(1, 4),
+           d_ff=st.integers(1, 8), pooling=st.sampled_from(["mean", "last"]),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+    def test_views_tile_the_buffer(self, d_in, n_heads, d_k, d_ff, pooling, dtype, seed):
+        cfg = ModelConfig(d_in=d_in, d_h=n_heads * d_k, n_heads=n_heads, d_ff=d_ff,
+                          pooling=pooling)
+        params = init_params(cfg, seed=seed, dtype=dtype)
+        base = params.flat.__array_interface__["data"][0]
+        cursor = 0
+        names = []
+        for name, t in params.named_tensors():
+            assert t.flags.c_contiguous and t.dtype == params.flat.dtype
+            assert t.__array_interface__["data"][0] - base == cursor * t.itemsize, name
+            cursor += t.size
+            names.append(name)
+        assert cursor == params.flat.size == params.n_params()
+        assert len(set(names)) == len(names)
+
+        tensors = dict(params.named_tensors())
+        views = [(f"gru{i}.{f}", getattr(layer, f)) for i, layer in enumerate(params.gru)
+                 for f in ("w_z", "u_h", "b_h")]
+        views += [("attn.w_q", params.attn.w_q), ("attn.ln2_bias", params.attn.ln2_bias),
+                  ("head.w1", params.head.w1), ("head.b2", params.head.b2)]
+        for name, view in views:
+            assert view.__array_interface__["data"] == \
+                tensors[name].__array_interface__["data"], name
+            assert view.shape == tensors[name].shape
+        assert params.attn.n_heads == n_heads
+
+        for other in (params.copy(), params.astype(dtype),
+                      params.astype(np.float64 if dtype == np.float32 else np.float32)):
+            assert not np.shares_memory(other.flat, params.flat)
+            np.testing.assert_array_equal(other.flat, params.flat.astype(other.flat.dtype))
+            assert other.config == cfg and other.layout_hash == params.layout_hash
+
