@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
@@ -143,13 +144,21 @@ def match_tracks_to_truth(track_samples: dict[int, dict[int, tuple[float, float]
     label), unmatched tracks are dropped from the dataset.
     """
     truth_samples = [{f: (x, y) for f, x, y in t.samples} for t in truths]
+    # Only truths sampled on one of the track's frames can reach the minimum
+    # overlap; visiting them in list order keeps the strict-less tie-break.
+    truths_at: dict[int, list[int]] = {}
+    for ti, tsamp in enumerate(truth_samples):
+        for f in tsamp:
+            truths_at.setdefault(f, []).append(ti)
     out: dict[int, VruTruth] = {}
     for tid, samples in track_samples.items():
         best: tuple[float, VruTruth] | None = None
-        for truth, tsamp in zip(truths, truth_samples):
-            common = [f for f in samples if f in tsamp]
-            if len(common) < MATCH_MIN_SAMPLES:
+        overlap = Counter(ti for f in samples for ti in truths_at.get(f, ()))
+        for ti in sorted(overlap):
+            if overlap[ti] < MATCH_MIN_SAMPLES:
                 continue
+            truth, tsamp = truths[ti], truth_samples[ti]
+            common = [f for f in samples if f in tsamp]
             d = float(np.mean([
                 np.hypot(samples[f][0] - tsamp[f][0], samples[f][1] - tsamp[f][1])
                 for f in common]))

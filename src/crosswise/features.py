@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .geom import IntersectionGeometry, ZoneKind, ZoneType, polygon_area
+from .geom import IntersectionGeometry, ZoneKind, ZoneType
 from .ingest import KP_LEFT_SHOULDER, KP_NOSE, KP_RIGHT_SHOULDER, PoseDetection
 
 FEATURE_DIM = 16
@@ -148,9 +148,7 @@ def geometric_features(center: tuple[float, float],
     bx, by = g.crosswalk_entries["B"]
     dist_a = math.hypot(center[0] - ax, center[1] - ay) / diag
     dist_b = math.hypot(center[0] - bx, center[1] - by) / diag
-    wait = g.waiting_area_for(center)
-    compact = polygon_area(wait.polygon) / g.frame_area if wait else 0.0
-    return (dist_a, dist_b, compact)
+    return (dist_a, dist_b, g.waiting_compactness(center))
 
 
 _ZONE_SLOT = {

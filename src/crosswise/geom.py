@@ -74,8 +74,11 @@ def polygon_area(poly: Polygon) -> float:
     return abs(acc) / 2.0
 
 
+_EPS = 1e-9  # boundary tolerance of the containment test
+
+
 def _on_segment(px: float, py: float, ax: float, ay: float, bx: float, by: float,
-                eps: float = 1e-9) -> bool:
+                eps: float = _EPS) -> bool:
     cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
     if abs(cross) > eps * max(1.0, abs(bx - ax) + abs(by - ay)):
         return False
@@ -92,6 +95,11 @@ def point_in_polygon(p: Point, poly: Polygon) -> bool:
         raise GeometryError(f"polygon needs >= 3 vertices, got {len(poly)}")
     if polygon_area(poly) <= 0.0:
         raise GeometryError("degenerate polygon with zero area")
+    return _even_odd(p, poly)
+
+
+def _even_odd(p: Point, poly: Polygon) -> bool:
+    """point_in_polygon on a polygon already known to be valid."""
     x, y = p
     n = len(poly)
     inside = False
@@ -107,6 +115,20 @@ def point_in_polygon(p: Point, poly: Polygon) -> bool:
                 inside = not inside
         j = i
     return inside
+
+
+def _reject_box(poly: Polygon) -> tuple[float, float, float, float]:
+    """(x0, y0, x1, y1) outside which _even_odd(p, poly) is always False.
+
+    The bounding box widened by _on_segment's eps. On x the margin also grows
+    with the largest |x|: the crossing abscissa can round past the polygon's
+    extreme x by a few ulps of it, which exceeds 1e-9 for large coordinates.
+    """
+    xs = [q[0] for q in poly]
+    ys = [q[1] for q in poly]
+    x0, x1 = min(xs), max(xs)
+    mx = _EPS * max(1.0, abs(x0), abs(x1))
+    return (x0 - mx, min(ys) - _EPS, x1 + mx, max(ys) + _EPS)
 
 
 @dataclass(frozen=True)
@@ -152,6 +174,22 @@ class IntersectionGeometry:
                 raise GeometryError(f"missing crosswalk entry {letter!r}")
         if self.frame_size == (0.0, 0.0):
             object.__setattr__(self, "frame_size", self._default_frame_size())
+        if not (self.frame_size[0] > 0 and self.frame_size[1] > 0):
+            raise GeometryError(f"frame_size must be positive, got {self.frame_size}")
+        # Per-zone constants for the per-frame queries. They are not fields, so
+        # equality, to_dict and the config file do not see them.
+        tiers = ((self.crossing_zones, ZoneType.CROSSING),
+                 (self.start_crossing_zones, ZoneType.START_CROSSING),
+                 (self.waiting_areas, ZoneType.WAITING))
+        object.__setattr__(self, "_classify_order", tuple(
+            (_reject_box(z.polygon), z.polygon, ZoneKind(kind, z.zone_id, z.label))
+            for zones, kind in tiers for z in zones))
+        object.__setattr__(self, "_waiting", tuple(
+            (_reject_box(z.polygon), z.polygon,
+             (sum(q[0] for q in z.polygon) / len(z.polygon),
+              sum(q[1] for q in z.polygon) / len(z.polygon)),
+             polygon_area(z.polygon) / self.frame_area)
+            for z in self.waiting_areas))
 
     def _default_frame_size(self) -> tuple[float, float]:
         xs = [self.crop_rect[0] + self.crop_rect[2]]
@@ -178,12 +216,10 @@ class IntersectionGeometry:
         priority Crossing > StartCrossing > Waiting > Outside; within one
         priority tier the first zone in declaration order wins.
         """
-        for zones, kind in ((self.crossing_zones, ZoneType.CROSSING),
-                            (self.start_crossing_zones, ZoneType.START_CROSSING),
-                            (self.waiting_areas, ZoneType.WAITING)):
-            for zone in zones:
-                if point_in_polygon(p, zone.polygon):
-                    return ZoneKind(kind, zone.zone_id, zone.label)
+        x, y = p
+        for (x0, y0, x1, y1), poly, zone_kind in self._classify_order:
+            if x0 <= x <= x1 and y0 <= y <= y1 and _even_odd(p, poly):
+                return zone_kind
         return OUTSIDE
 
     def crop_to_full(self, p: Point) -> Point:
@@ -202,18 +238,26 @@ class IntersectionGeometry:
             raise GeometryError(f"point {p} outside crop rect")
         return (x, y)
 
+    def _waiting_index(self, p: Point) -> Optional[int]:
+        x, y = p
+        for i, ((x0, y0, x1, y1), poly, _, _) in enumerate(self._waiting):
+            if x0 <= x <= x1 and y0 <= y <= y1 and _even_odd(p, poly):
+                return i
+        if not self._waiting:
+            return None
+        centroids = [c for _, _, c, _ in self._waiting]
+        return min(range(len(centroids)),
+                   key=lambda i: math.hypot(x - centroids[i][0], y - centroids[i][1]))
+
     def waiting_area_for(self, p: Point) -> Optional[Zone]:
         """The waiting area containing p, else the nearest one by centroid."""
-        for zone in self.waiting_areas:
-            if point_in_polygon(p, zone.polygon):
-                return zone
-        if not self.waiting_areas:
-            return None
-        def centroid_dist(zone: Zone) -> float:
-            cx = sum(q[0] for q in zone.polygon) / len(zone.polygon)
-            cy = sum(q[1] for q in zone.polygon) / len(zone.polygon)
-            return math.hypot(p[0] - cx, p[1] - cy)
-        return min(self.waiting_areas, key=centroid_dist)
+        i = self._waiting_index(p)
+        return None if i is None else self.waiting_areas[i]
+
+    def waiting_compactness(self, p: Point) -> float:
+        """Area over frame area of waiting_area_for(p); 0.0 without waiting areas."""
+        i = self._waiting_index(p)
+        return 0.0 if i is None else self._waiting[i][3]
 
     # --- config file -----------------------------------------------------
 

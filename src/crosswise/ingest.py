@@ -37,10 +37,12 @@ class StreamFormatError(ValueError):
         self.line_no = line_no
 
 
-def _check_bbox_finite(bbox) -> None:
+def _check_bbox(bbox, what: str) -> None:
     # json.loads accepts NaN and Infinity, and comparisons let NaN through
     if not all(map(math.isfinite, bbox)):
         raise ValueError(f"bbox values must be finite: {bbox}")
+    if bbox[2] <= 0 or bbox[3] <= 0:
+        raise ValueError(f"{what} bbox must have positive size: {bbox}")
 
 
 @dataclass(frozen=True)
@@ -50,9 +52,7 @@ class Detection:
     conf: float
 
     def __post_init__(self):
-        _check_bbox_finite(self.bbox)
-        if self.bbox[2] <= 0 or self.bbox[3] <= 0:
-            raise ValueError(f"detection bbox must have positive size: {self.bbox}")
+        _check_bbox(self.bbox, "detection")
         if not 0.0 <= self.conf <= 1.0:
             raise ValueError(f"detection conf out of [0,1]: {self.conf}")
         if self.vru_class not in VRU_CLASSES:
@@ -72,7 +72,7 @@ class PoseDetection:
     keypoints: np.ndarray  # (17, 3) of x, y, conf
 
     def __post_init__(self):
-        _check_bbox_finite(self.bbox)
+        _check_bbox(self.bbox, "pose")
         kps = np.asarray(self.keypoints, dtype=float)
         if kps.shape != (N_KEYPOINTS, 3):
             raise ValueError(f"expected {N_KEYPOINTS} keypoints, got shape {kps.shape}")
@@ -87,11 +87,16 @@ class PoseDetection:
         return (x + w / 2.0, y + h / 2.0)
 
     def translated(self, dx: float, dy: float) -> "PoseDetection":
+        """This pose shifted by (dx, dy); built without re-running the checks
+        that this pose already passed."""
         kps = self.keypoints.copy()
         kps[:, 0] += dx
         kps[:, 1] += dy
         x, y, w, h = self.bbox
-        return PoseDetection((x + dx, y + dy, w, h), kps)
+        out = object.__new__(PoseDetection)
+        object.__setattr__(out, "bbox", (x + dx, y + dy, w, h))
+        object.__setattr__(out, "keypoints", kps)
+        return out
 
 
 @dataclass(frozen=True)
@@ -120,6 +125,14 @@ def _record_to_obj(rec: FrameRecord) -> dict:
     }
 
 
+def _json_int(obj: dict, key: str) -> int:
+    value = obj[key]
+    # bool is an int subclass; a float or a string would be truncated or coerced
+    if type(value) is not int:
+        raise ValueError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
 def _record_from_obj(obj: dict, line_no: int) -> FrameRecord:
     try:
         dets = tuple(
@@ -129,10 +142,10 @@ def _record_from_obj(obj: dict, line_no: int) -> FrameRecord:
             PoseDetection(tuple(float(v) for v in p["bbox"]),
                           np.asarray(p["kps"], dtype=float))
             for p in obj.get("poses", []))
-        return FrameRecord(int(obj["frame"]), int(obj["ts_ms"]), dets, poses)
+        return FrameRecord(_json_int(obj, "frame"), _json_int(obj, "ts_ms"), dets, poses)
     except StreamFormatError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
+    except (KeyError, TypeError, ValueError) as exc:
         raise StreamFormatError(line_no, str(exc)) from exc
 
 

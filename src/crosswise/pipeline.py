@@ -152,11 +152,10 @@ class Pipeline:
                 self._set_state(tid, ctx, TrackState.DONE, out)
 
         seen = set(events.updated) | set(events.created)
-        for tid in sorted(self.ctx):
+        # every live track has a ctx, and none of those is DONE
+        for tid in sorted(self.table.tracks):
             ctx = self.ctx[tid]
-            track = self.table.tracks.get(tid)
-            if track is None or ctx.state == TrackState.DONE:
-                continue
+            track = self.table.tracks[tid]
             zone = track.zone
             is_seen = tid in seen
 
@@ -201,7 +200,7 @@ class Pipeline:
 
             if is_seen and zone.is_observing and not ctx.windows_stopped:
                 ctx.frame_buffer.append(step_features(
-                    track.center, zone, list(track.history), track.pose_latest,
+                    track.center, zone, track.history, track.pose_latest,
                     track.bbox[3], self.geometry))
 
             # start-crossing fast path: presence there implies crossing intent

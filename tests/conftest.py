@@ -1,8 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from crosswise.evaluate import TrainConfig, build_dataset, train
 from crosswise.geom import demo_geometry
 from crosswise.ingest import ScenarioSpec, generate_scenario
+
+# Property tests replay the same examples on every run, and a slow shared
+# host cannot fail them on time.
+settings.register_profile("crosswise", derandomize=True, deadline=None)
+settings.load_profile("crosswise")
 
 
 @pytest.fixture(scope="session")

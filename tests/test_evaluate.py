@@ -3,11 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from crosswise.evaluate import (ConfusionCounts, TrainConfig, WindowDataset,
-                                ablation, build_dataset, head_sweep,
-                                match_tracks_to_truth, metrics, train)
+from crosswise.evaluate import (MATCH_MAX_DIST, MATCH_MIN_SAMPLES, ConfusionCounts,
+                                TrainConfig, WindowDataset, ablation, build_dataset,
+                                head_sweep, match_tracks_to_truth, metrics, train)
 from crosswise.features import FEATURE_DIM, FEATURE_GROUPS, mask_for_groups
-from crosswise.ingest import VruTruth
+from crosswise.ingest import SAMPLE_EVERY, VruTruth
+from crosswise.pipeline import Pipeline
 
 
 class TestMetrics:
@@ -130,6 +131,57 @@ class TestTrackMatching:
                          samples=[(f, 0.0, 0.0) for f in range(0, 100, 5)])
         samples = {7: {f: (500.0, 500.0) for f in range(0, 50, 5)}}
         assert match_tracks_to_truth(samples, [truth]) == {}
+
+
+def brute_force_match(track_samples, truths):
+    """Every track scored against every truth, in list order."""
+    out = {}
+    for tid, samples in track_samples.items():
+        best = None
+        for truth in truths:
+            tsamp = {f: (x, y) for f, x, y in truth.samples}
+            common = [f for f in samples if f in tsamp]
+            if len(common) < MATCH_MIN_SAMPLES:
+                continue
+            d = float(np.mean([
+                np.hypot(samples[f][0] - tsamp[f][0], samples[f][1] - tsamp[f][1])
+                for f in common]))
+            if d <= MATCH_MAX_DIST and (best is None or d < best[0]):
+                best = (d, truth)
+        if best is not None:
+            out[tid] = best[1]
+    return out
+
+
+class TestTrackMatchingIndex:
+    def test_same_assignment_as_brute_force(self, geometry, small_scenario):
+        records, truths = small_scenario
+        pipe = Pipeline(geometry)
+        track_samples = {}
+        for rec in records:
+            pipe.step(rec)
+            if rec.frame_idx % SAMPLE_EVERY == 0:
+                for tid, track in pipe.table.tracks.items():
+                    if track.last_seen == rec.frame_idx:
+                        track_samples.setdefault(tid, {})[rec.frame_idx] = track.center
+        fast = match_tracks_to_truth(track_samples, truths)
+        slow = brute_force_match(track_samples, truths)
+        assert len(fast) > 30
+        assert {t: id(v) for t, v in fast.items()} == {t: id(v) for t, v in slow.items()}
+
+    def test_tie_goes_to_the_first_truth(self):
+        samples = [(f, 10.0, 10.0) for f in range(0, 50, 5)]
+        first, second = (VruTruth(i, label, "pedestrian", 0, 50, None, samples)
+                         for i, label in ((0, "A"), (1, "B")))
+        track = {3: {f: (12.0, 10.0) for f in range(0, 50, 5)}}
+        assert match_tracks_to_truth(track, [first, second])[3] is first
+        assert match_tracks_to_truth(track, [second, first])[3] is second
+
+    def test_overlap_below_minimum_unmatched(self):
+        truth = VruTruth(0, "A", "pedestrian", 0, 50, None,
+                         [(f, 0.0, 0.0) for f in range(0, 50, 5)])
+        track = {1: {0: (0.0, 0.0), 5: (0.0, 0.0), 500: (0.0, 0.0)}}
+        assert match_tracks_to_truth(track, [truth]) == {}
 
 
 class TestBuildDataset:

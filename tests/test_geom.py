@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from crosswise.geom import (GeometryError, IntersectionGeometry, Zone, ZoneType,
-                            demo_geometry, point_in_polygon, polygon_area)
+from crosswise.geom import (OUTSIDE, GeometryError, IntersectionGeometry, Zone, ZoneKind,
+                            ZoneType, _reject_box, demo_geometry, point_in_polygon,
+                            polygon_area)
 
 UNIT_SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 
@@ -92,6 +97,84 @@ class TestClassifyPoint:
             assert geometry.classify_point(p) == geometry.classify_point(p)
 
 
+DEMO = demo_geometry()
+DEMO_ZONES = (*DEMO.crossing_zones, *DEMO.start_crossing_zones, *DEMO.waiting_areas)
+DEMO_VERTICES = sorted({q for z in DEMO_ZONES for q in z.polygon})
+DEMO_EDGES = [(z.polygon[i - 1], z.polygon[i]) for z in DEMO_ZONES
+              for i in range(len(z.polygon))]
+OFFSETS = (0.0, 1e-10, -1e-10, 1e-9, -1e-9, 2e-9, -2e-9)
+
+
+def reference_classify(g, p):
+    """classify_point through the validating test, without the bbox reject."""
+    for zones, kind in ((g.crossing_zones, ZoneType.CROSSING),
+                        (g.start_crossing_zones, ZoneType.START_CROSSING),
+                        (g.waiting_areas, ZoneType.WAITING)):
+        for zone in zones:
+            if point_in_polygon(p, zone.polygon):
+                return ZoneKind(kind, zone.zone_id, zone.label)
+    return OUTSIDE
+
+
+def reference_waiting_area(g, p):
+    for zone in g.waiting_areas:
+        if point_in_polygon(p, zone.polygon):
+            return zone
+
+    def centroid_dist(zone):
+        cx = sum(q[0] for q in zone.polygon) / len(zone.polygon)
+        cy = sum(q[1] for q in zone.polygon) / len(zone.polygon)
+        return math.hypot(p[0] - cx, p[1] - cy)
+    return min(g.waiting_areas, key=centroid_dist)
+
+
+def on_edge(edge, t):
+    (ax, ay), (bx, by) = edge
+    return (ax + t * (bx - ax), ay + t * (by - ay))
+
+
+boundary_points = st.one_of(
+    st.sampled_from(DEMO_VERTICES),
+    st.builds(on_edge, st.sampled_from(DEMO_EDGES), st.floats(0.0, 1.0)))
+demo_points = st.one_of(
+    st.tuples(st.floats(-50.0, 1330.0), st.floats(-50.0, 770.0)),
+    boundary_points,
+    st.builds(lambda p, dx, dy: (p[0] + dx, p[1] + dy), boundary_points,
+              st.sampled_from(OFFSETS), st.sampled_from(OFFSETS)))
+
+
+class TestZoneQueriesMatchValidatingTest:
+    """The bbox reject and the cached per-zone constants change no answer."""
+
+    @staticmethod
+    def check(p):
+        assert DEMO.classify_point(p) == reference_classify(DEMO, p)
+        wait = reference_waiting_area(DEMO, p)
+        assert DEMO.waiting_area_for(p) is wait
+        assert DEMO.waiting_compactness(p) == polygon_area(wait.polygon) / DEMO.frame_area
+
+    @given(demo_points)
+    def test_random_and_boundary_points(self, p):
+        self.check(p)
+
+    def test_every_vertex_at_every_offset(self):
+        for x, y in DEMO_VERTICES:
+            for dx in OFFSETS:
+                for dy in OFFSETS:
+                    self.check((x + dx, y + dy))
+
+    def test_crossing_abscissa_rounding_past_the_extreme_x(self):
+        # the ray from p crosses the edge at x_cross > 1.6090669 + 1e-7 after
+        # rounding, so p counts as inside though it lies right of every vertex
+        far, near = (-887375517.3108889, -2.3099393493148996), (1.6090669036975829,
+                                                               0.4305958814059121)
+        poly = (near, far, (far[0], near[1] + 5.0))
+        p = (near[0] + 1e-7, 0.430595881405912)
+        assert point_in_polygon(p, poly)
+        x0, y0, x1, y1 = _reject_box(poly)
+        assert x0 <= p[0] <= x1 and y0 <= p[1] <= y1
+
+
 class TestCropMapping:
     def test_translation(self, geometry):
         x0, y0, _, _ = geometry.crop_rect
@@ -151,6 +234,22 @@ class TestGeometryValidation:
                 crossing_zones=unlabeled,
                 crosswalk_entries=geometry.crosswalk_entries,
                 crop_rect=geometry.crop_rect, fps=20)
+
+    @pytest.mark.parametrize("frame_size", [(1280.0, 0.0), (-1.0, 720.0)])
+    def test_frame_size_must_be_positive(self, geometry, frame_size):
+        with pytest.raises(GeometryError, match="frame_size"):
+            IntersectionGeometry(
+                waiting_areas=geometry.waiting_areas,
+                start_crossing_zones=geometry.start_crossing_zones,
+                crossing_zones=geometry.crossing_zones,
+                crosswalk_entries=geometry.crosswalk_entries,
+                crop_rect=geometry.crop_rect, fps=20, frame_size=frame_size)
+
+    def test_cached_zone_constants_stay_out_of_the_config(self, geometry):
+        assert set(geometry.to_dict()) == {
+            "fps", "px_per_meter", "frame_size", "crop_rect", "waiting_areas",
+            "start_crossing_zones", "crossing_zones", "crosswalk_entries"}
+        assert geometry == IntersectionGeometry.from_dict(geometry.to_dict())
 
     def test_config_round_trip(self, geometry, tmp_path):
         path = tmp_path / "geom.json"

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from crosswise.geom import ZoneType
 from crosswise.ingest import (Detection, FrameRecord, PoseDetection, ScenarioSpec,
@@ -165,6 +168,59 @@ class TestNonFinite:
         kps[:, :2] = np.finfo(float).max
         np.testing.assert_array_equal(
             PoseDetection((0.0, 0.0, 10.0, 10.0), kps).keypoints, kps)
+
+
+class TestIntegerFields:
+    """frame and ts_ms must be JSON integers: no truncation, no coercion."""
+
+    @pytest.mark.parametrize("bad", [1.7, 2.0, True, "3"])
+    @pytest.mark.parametrize("key", ["frame", "ts_ms"])
+    def test_non_integer_rejected_with_line(self, tmp_path, bad, key):
+        path = TestNonFinite.stream_with_bad_second_line(
+            tmp_path, lambda o: o.__setitem__(key, bad))
+        with pytest.raises(StreamFormatError, match="line 2") as exc:
+            list(read_stream(path))
+        assert exc.value.line_no == 2
+        assert key in str(exc.value)
+
+
+class TestPoseBboxSize:
+    @pytest.mark.parametrize("bbox", [(0.0, 0.0, -5.0, 0.0), (0.0, 0.0, 0.0, 10.0),
+                                      (0.0, 0.0, 10.0, 0.0), (0.0, 0.0, 10.0, -1.0)])
+    def test_not_constructible(self, bbox):
+        with pytest.raises(ValueError, match="positive size"):
+            PoseDetection(bbox, np.full((17, 3), 0.5))
+
+    @pytest.mark.parametrize("slot,bad", [(2, -5.0), (3, 0.0)])
+    def test_stream_line_rejected(self, tmp_path, slot, bad):
+        path = TestNonFinite.stream_with_bad_second_line(
+            tmp_path, lambda o: o["poses"][0]["bbox"].__setitem__(slot, bad))
+        with pytest.raises(StreamFormatError, match="line 2"):
+            list(read_stream(path))
+
+
+coords = st.floats(-1e4, 1e4)
+sizes = st.floats(1e-3, 1e4)
+
+
+class TestTranslated:
+    @given(st.tuples(coords, coords, sizes, sizes),
+           arrays(np.float64, (17, 2), elements=st.floats(-1e6, 1e6)),
+           arrays(np.float64, (17,), elements=st.floats(0.0, 1.0)),
+           coords, coords)
+    def test_same_bytes_as_a_validated_pose(self, bbox, xy, conf, dx, dy):
+        pose = PoseDetection(bbox, np.column_stack([xy, conf]))
+        shifted = pose.translated(dx, dy)
+        kps = pose.keypoints.copy()
+        kps[:, 0] += dx
+        kps[:, 1] += dy
+        x, y, w, h = bbox
+        fresh = PoseDetection((x + dx, y + dy, w, h), kps)
+        assert np.array(shifted.bbox).tobytes() == np.array(fresh.bbox).tobytes()
+        assert shifted.keypoints.dtype == fresh.keypoints.dtype
+        assert shifted.keypoints.shape == fresh.keypoints.shape
+        assert shifted.keypoints.tobytes() == fresh.keypoints.tobytes()
+        assert not np.shares_memory(shifted.keypoints, pose.keypoints)
 
 
 class TestGenerator:
