@@ -38,6 +38,8 @@ class StreamFormatError(ValueError):
 
 
 def _check_bbox(bbox, what: str) -> None:
+    if len(bbox) != 4:
+        raise ValueError(f"{what} bbox must have 4 values (x, y, w, h): {bbox}")
     # json.loads accepts NaN and Infinity, and comparisons let NaN through
     if not all(map(math.isfinite, bbox)):
         raise ValueError(f"bbox values must be finite: {bbox}")
@@ -133,15 +135,24 @@ def _json_int(obj: dict, key: str) -> int:
     return value
 
 
-def _record_from_obj(obj: dict, line_no: int) -> FrameRecord:
+def _json_list(obj: dict, key: str) -> list:
+    value = obj.get(key, [])
+    if type(value) is not list:
+        raise ValueError(f"{key} must be a JSON list, got {value!r}")
+    return value
+
+
+def _record_from_obj(obj, line_no: int) -> FrameRecord:
+    if type(obj) is not dict:
+        raise StreamFormatError(line_no, f"record must be a JSON object, got {obj!r}")
     try:
         dets = tuple(
             Detection(tuple(float(v) for v in d["bbox"]), d["class"], float(d["conf"]))
-            for d in obj.get("dets", []))
+            for d in _json_list(obj, "dets"))
         poses = tuple(
             PoseDetection(tuple(float(v) for v in p["bbox"]),
                           np.asarray(p["kps"], dtype=float))
-            for p in obj.get("poses", []))
+            for p in _json_list(obj, "poses"))
         return FrameRecord(_json_int(obj, "frame"), _json_int(obj, "ts_ms"), dets, poses)
     except StreamFormatError:
         raise

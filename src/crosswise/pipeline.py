@@ -24,13 +24,14 @@ from .features import (FEATURE_DIM, SEGMENT_FRAMES, WINDOW_STEPS, FeatureWindow,
                        WindowAssembler, step_features, temporal_filter)
 from .geom import IntersectionGeometry, ZoneType
 from .ingest import FrameRecord
-from .model import ModelParams, Prediction, forward, forward_batch
+from .model import ModelParams, Prediction, forward_batch
 from .track import TrackTable
 
 log = logging.getLogger(__name__)
 
 ALERT_SCHEMA = "crosswise/1"
 ALERT_MARGIN = 0.2  # |p_B - 0.5| needed before a prediction alone raises an alert
+BENCH_BATCH_SIZES = (1, 2, 4, 8)
 
 
 class TrackState(Enum):
@@ -79,6 +80,12 @@ class _TrackCtx:
 
 @dataclass
 class StepOutput:
+    """What one frame produced. Windows, predictions and alerts are in track
+    id order, and each track's own state changes keep their order. Within a
+    frame, a PREDICTED change follows the other tracks' observation and
+    crossing changes: all windows of the frame are scored by one forward after
+    every live track has been walked."""
+
     frame_idx: int
     windows: list[FeatureWindow] = field(default_factory=list)
     predictions: list[Prediction] = field(default_factory=list)
@@ -152,7 +159,10 @@ class Pipeline:
                 self._set_state(tid, ctx, TrackState.DONE, out)
 
         seen = set(events.updated) | set(events.created)
-        # every live track has a ctx, and none of those is DONE
+        # pass 1, per live track in id order (every live track has a ctx, and
+        # none of those is DONE): transitions, segment flush, feature append;
+        # windows are collected here and scored together below
+        todo: list[tuple[int, _TrackCtx, Optional[FeatureWindow], bool]] = []
         for tid in sorted(self.table.tracks):
             ctx = self.ctx[tid]
             track = self.table.tracks[tid]
@@ -179,6 +189,7 @@ class Pipeline:
 
             # segment boundaries run on the stream clock, observed or not, so
             # detector dropout cannot merge adjacent segments
+            window = None
             if not ctx.windows_stopped and ctx.birth_frame is not None:
                 age = rec.frame_idx - ctx.birth_frame
                 if age > 0 and age % SEGMENT_FRAMES == 0:
@@ -188,14 +199,6 @@ class Pipeline:
                         window = ctx.assembler.push(step_vec, rec.frame_idx)
                         if window is not None:
                             out.windows.append(window)
-                            if self.params is not None:
-                                pred, _ = forward(window, self.params, mode="infer")
-                                ctx.latest_prediction = pred
-                                out.predictions.append(pred)
-                                self._set_state(tid, ctx, TrackState.PREDICTED, out)
-                                if abs(pred.p_b - 0.5) >= self.alert_margin:
-                                    self._alert(tid, ctx, pred.label, pred.p_b,
-                                                rec, out)
                     # an all-dropout segment yields no step and is skipped
 
             if is_seen and zone.is_observing and not ctx.windows_stopped:
@@ -203,9 +206,31 @@ class Pipeline:
                     track.center, zone, track.history, track.pose_latest,
                     track.bbox[3], self.geometry))
 
+            fast = is_seen and zone.kind == ZoneType.START_CROSSING
+            if window is not None or fast:
+                todo.append((tid, ctx, window, fast))
+
+        # one forward scores every window of the frame, in out.windows order
+        predict = self.params is not None and bool(out.windows)
+        if predict:
+            p, _ = forward_batch(np.stack([w.matrix for w in out.windows]), self.params)
+            probs = iter(p.tolist())
+
+        # pass 2, in id order: prediction, PREDICTED and margin alert, then the
+        # fast path, which sees this frame's prediction
+        for tid, ctx, window, fast in todo:
+            if window is not None and predict:
+                pred = Prediction(window.track_id, next(probs), window.end_frame_idx)
+                ctx.latest_prediction = pred
+                out.predictions.append(pred)
+                self._set_state(tid, ctx, TrackState.PREDICTED, out)
+                if abs(pred.p_b - 0.5) >= self.alert_margin:
+                    self._alert(tid, ctx, pred.label, pred.p_b, rec, out)
+
             # start-crossing fast path: presence there implies crossing intent
-            if is_seen and zone.kind == ZoneType.START_CROSSING:
-                label = zone.label or (
+            if fast:
+                track = self.table.tracks[tid]
+                label = track.zone.label or (
                     ctx.latest_prediction.label if ctx.latest_prediction
                     else self._nearest_entry(track.center))
                 prob = ctx.latest_prediction.p_b if ctx.latest_prediction else 0.5
@@ -302,7 +327,8 @@ def bench(records: list[FrameRecord], geometry: IntersectionGeometry,
           params: ModelParams, forward_reps: int = 200) -> dict:
     """End-to-end FPS over a prepared stream plus isolated forward latency.
 
-    The forward latency is measured at the 32-bit deployment profile. The
+    The forward latency is measured at the 32-bit deployment profile, at B=1
+    (p50 and p99) and as the per-call median at each of BENCH_BATCH_SIZES. The
     report carries the published reference numbers for side-by-side reading.
     """
     params32 = params.astype(np.float32)
@@ -311,12 +337,15 @@ def bench(records: list[FrameRecord], geometry: IntersectionGeometry,
     for _ in range(10):
         forward_batch(warm, params32)
 
-    lat_ms = []
-    for _ in range(forward_reps):
-        x = rng.standard_normal((1, WINDOW_STEPS, FEATURE_DIM)).astype(np.float32)
-        t0 = time.perf_counter()
-        forward_batch(x, params32)
-        lat_ms.append((time.perf_counter() - t0) * 1000.0)
+    # per-call latency at each batch size; a frame's windows go through one call
+    by_batch: dict[int, list[float]] = {b: [] for b in BENCH_BATCH_SIZES}
+    for b, ms in by_batch.items():
+        for _ in range(forward_reps):
+            x = rng.standard_normal((b, WINDOW_STEPS, FEATURE_DIM)).astype(np.float32)
+            t0 = time.perf_counter()
+            forward_batch(x, params32)
+            ms.append((time.perf_counter() - t0) * 1000.0)
+    lat_ms = by_batch[1]
 
     pipe = Pipeline(geometry, params32)
     max_live = 0
@@ -332,6 +361,8 @@ def bench(records: list[FrameRecord], geometry: IntersectionGeometry,
         "max_concurrent_tracks": max_live,
         "forward_ms_p50": float(np.percentile(lat_ms, 50)),
         "forward_ms_p99": float(np.percentile(lat_ms, 99)),
+        "forward_ms_p50_by_batch": {str(b): float(np.median(ms))
+                                    for b, ms in by_batch.items()},
         "reference_fps": 33.0,
         "reference_forward_ms": 0.78,
         "reference_note": "published full-framework figures on different hardware",

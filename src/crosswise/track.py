@@ -99,11 +99,20 @@ class TrackTable:
         free_tracks = set(self.tracks.keys())
         free_dets = set(range(len(detections)))
 
+        # a pair whose x- or y-extents do not overlap is exactly iou's
+        # ix <= 0 or iy <= 0 case, so skipping it before the call changes no
+        # pair and no match
+        boxes = [(di, det.bbox) for di, det in enumerate(detections)]
         pairs = []
         for tid in free_tracks:
             tb = self.tracks[tid].bbox
-            for di in free_dets:
-                v = iou(tb, detections[di].bbox)
+            tx0, ty0 = tb[0], tb[1]
+            tx1, ty1 = tx0 + tb[2], ty0 + tb[3]
+            for di, db in boxes:
+                if (db[0] >= tx1 or db[0] + db[2] <= tx0
+                        or db[1] >= ty1 or db[1] + db[3] <= ty0):
+                    continue
+                v = iou(tb, db)
                 if v >= IOU_MATCH_THRESHOLD:
                     pairs.append((-v, tid, di))
         for _, tid, di in sorted(pairs):
@@ -161,31 +170,28 @@ class TrackTable:
         if not eligible or not poses:
             return []
 
+        targets = [(t.track_id, t.center, POSE_GATE_FACTOR * max(t.bbox[2], t.bbox[3]))
+                   for t in eligible]
         candidates = []
-        full_poses: list[Optional[PoseDetection]] = []
-        cx0, cy0, _, _ = self.geometry.crop_rect
         for pi, pose in enumerate(poses):
-            px, py = pose.center
             try:
-                fx, fy = self.geometry.crop_to_full((px, py))
+                fx, fy = self.geometry.crop_to_full(pose.center)
             except GeometryError:
-                full_poses.append(None)  # center off the crop image: discard
-                continue
-            full_poses.append(pose.translated(cx0, cy0))
-            for track in eligible:
-                tx, ty = track.center
-                gate = POSE_GATE_FACTOR * max(track.bbox[2], track.bbox[3])
+                continue  # center off the crop image: discard
+            for tid, (tx, ty), gate in targets:
                 d = math.hypot(fx - tx, fy - ty)
                 if d <= gate:
-                    candidates.append((d, track.track_id, pi))
+                    candidates.append((d, tid, pi))
 
+        # only a pose that binds to a track is shifted to the full frame
+        cx0, cy0, _, _ = self.geometry.crop_rect
         assigned: list[int] = []
         used_tracks: set[int] = set()
         used_poses: set[int] = set()
         for d, tid, pi in sorted(candidates):
             if tid in used_tracks or pi in used_poses:
                 continue
-            self.tracks[tid].pose_latest = full_poses[pi]
+            self.tracks[tid].pose_latest = poses[pi].translated(cx0, cy0)
             used_tracks.add(tid)
             used_poses.add(pi)
             assigned.append(tid)

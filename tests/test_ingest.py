@@ -199,6 +199,46 @@ class TestPoseBboxSize:
             list(read_stream(path))
 
 
+class TestRecordShape:
+    """A line that is not a JSON object, a dets/poses value that is not a
+    list, and a bbox without exactly 4 values are rejected by line."""
+
+    @pytest.mark.parametrize("line", ["[1, 2]", "3", '"frame"', "null"])
+    def test_non_object_line(self, tmp_path, line):
+        path = TestNonFinite.stream_with_bad_second_line(tmp_path, lambda o: None)
+        with open(path, "a") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(StreamFormatError, match="line 3") as exc:
+            list(read_stream(path))
+        assert exc.value.line_no == 3
+        assert "JSON object" in str(exc.value)
+
+    @pytest.mark.parametrize("bad", [{}, "", "ab", 5, None, {"bbox": [1, 2, 3, 4]}])
+    @pytest.mark.parametrize("key", ["dets", "poses"])
+    def test_non_list_value(self, tmp_path, key, bad):
+        path = TestNonFinite.stream_with_bad_second_line(
+            tmp_path, lambda o: o.__setitem__(key, bad))
+        with pytest.raises(StreamFormatError, match="line 2") as exc:
+            list(read_stream(path))
+        assert key in str(exc.value)
+
+    @pytest.mark.parametrize("bbox", [[], [1, 2, 3], [1, 2, 3, 4, 5]])
+    @pytest.mark.parametrize("key", ["dets", "poses"])
+    def test_bbox_length(self, tmp_path, key, bbox):
+        path = TestNonFinite.stream_with_bad_second_line(
+            tmp_path, lambda o: o[key][0].__setitem__("bbox", bbox))
+        with pytest.raises(StreamFormatError, match="line 2") as exc:
+            list(read_stream(path))
+        assert "4 values" in str(exc.value)
+
+    @pytest.mark.parametrize("bbox", [(1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0, 5.0)])
+    def test_bbox_length_not_constructible(self, bbox):
+        with pytest.raises(ValueError, match="4 values"):
+            Detection(bbox, "pedestrian", 0.9)
+        with pytest.raises(ValueError, match="4 values"):
+            PoseDetection(bbox, np.full((17, 3), 0.5))
+
+
 coords = st.floats(-1e4, 1e4)
 sizes = st.floats(1e-3, 1e4)
 

@@ -1,10 +1,13 @@
 import json
 import socket
 
+import numpy as np
 import pytest
 
+from crosswise import pipeline as pipeline_mod
 from crosswise.ingest import (Detection, FrameRecord, ScenarioSpec,
                               generate_scenario)
+from crosswise.model import forward, forward_batch
 from crosswise.pipeline import (ALERT_SCHEMA, I2VAlert, Pipeline, TrackState,
                                 UdpAlertSink, bench, run)
 
@@ -163,6 +166,88 @@ class TestAlertsWithModel:
                 seen.add(key)
 
 
+@pytest.fixture(scope="module")
+def crowd_stream(geometry):
+    """A dense stream whose frames emit 0 to 3 windows."""
+    spec = ScenarioSpec(n_vrus=24, max_concurrent=12, noise_sigma=1.0,
+                        dropout=0.02, seed=43)
+    return generate_scenario(spec, geometry)[0]
+
+
+def run_steps(geometry, params, records):
+    pipe = Pipeline(geometry, params)
+    return [pipe.step(rec) for rec in records]
+
+
+def per_window_forward_batch(x, params):
+    """One B=1 forward per window, as a frame was scored before batching."""
+    return np.concatenate([forward_batch(x[i:i + 1], params)[0]
+                           for i in range(len(x))]), None
+
+
+P_B_TOL = 4 * float(np.finfo(np.float32).eps)
+
+
+class TestOneForwardPerFrame:
+    def test_one_call_with_every_window_of_the_frame(self, geometry, small_model,
+                                                     crowd_stream, monkeypatch):
+        calls = []
+        real = pipeline_mod.forward_batch
+        monkeypatch.setattr(pipeline_mod, "forward_batch",
+                            lambda x, params: calls.append(x) or real(x, params))
+        pipe = Pipeline(geometry, small_model.astype(np.float32))
+        counts = set()
+        for rec in crowd_stream:
+            calls.clear()
+            out = pipe.step(rec)
+            k = len(out.windows)
+            counts.add(k)
+            if k == 0:
+                assert calls == []
+            else:
+                assert len(calls) == 1
+                assert calls[0].shape[0] == k
+                assert calls[0].tobytes() == np.stack(
+                    [w.matrix for w in out.windows]).tobytes()
+        assert {0, 1, 2, 3} <= counts
+
+    def test_outputs_match_per_window_reference(self, geometry, small_model,
+                                                crowd_stream, monkeypatch):
+        params = small_model.astype(np.float32)
+        batched = run_steps(geometry, params, crowd_stream)
+        monkeypatch.setattr(pipeline_mod, "forward_batch", per_window_forward_batch)
+        reference = run_steps(geometry, params, crowd_stream)
+        assert sum(len(o.alerts) for o in batched) > 0
+        for got, want in zip(batched, reference):
+            assert [(w.track_id, w.end_frame_idx) for w in got.windows] == \
+                [(p.track_id, p.end_frame_idx) for p in got.predictions]
+            assert [(p.track_id, p.end_frame_idx, p.label) for p in got.predictions] == \
+                [(p.track_id, p.end_frame_idx, p.label) for p in want.predictions]
+            assert [(a.track_id, a.crosswalk, a.ts_ms, a.frame_idx, a.vru_class)
+                    for a in got.alerts] == \
+                [(a.track_id, a.crosswalk, a.ts_ms, a.frame_idx, a.vru_class)
+                 for a in want.alerts]
+            for a, b in zip(got.alerts, want.alerts):
+                assert abs(a.prob - b.prob) <= P_B_TOL
+            for tid in {t for t, _, _ in want.state_changes}:
+                assert [c for c in got.state_changes if c[0] == tid] == \
+                    [c for c in want.state_changes if c[0] == tid]
+
+    def test_p_b_close_to_single_window_forward(self, geometry, small_model,
+                                                crowd_stream):
+        params = small_model.astype(np.float32)
+        multi = 0
+        for out in run_steps(geometry, params, crowd_stream):
+            for window, pred in zip(out.windows, out.predictions):
+                alone = forward(window, params)[0].p_b
+                if len(out.windows) == 1:
+                    assert pred.p_b == alone
+                else:
+                    multi += 1
+                    assert abs(pred.p_b - alone) <= P_B_TOL
+        assert multi > 0
+
+
 class TestRun:
     def test_empty_stream_summary(self, geometry, small_model, tmp_path):
         out = tmp_path / "preds.jsonl"
@@ -237,3 +322,11 @@ class TestBench:
         assert report["forward_ms_p50"] > 0
         assert report["reference_fps"] == 33.0
         assert report["reference_forward_ms"] == 0.78
+
+    def test_forward_latency_by_batch(self, geometry, small_model, small_scenario):
+        records, _ = small_scenario
+        report = bench(records[:50], geometry, small_model, forward_reps=5)
+        by_batch = report["forward_ms_p50_by_batch"]
+        assert list(by_batch) == ["1", "2", "4", "8"]
+        assert all(ms > 0 for ms in by_batch.values())
+        json.dumps(report)  # the CLI writes the report as JSON

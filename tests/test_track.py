@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from crosswise.geom import ZoneType
 from crosswise.ingest import Detection, PoseDetection
-from crosswise.track import TrackTable, iou
+from crosswise.track import (DIST_GATE_FACTOR, IOU_MATCH_THRESHOLD, StepEvents,
+                             Track, TrackTable, iou)
 
 
 def det(x, y, w=30.0, h=60.0, cls="pedestrian"):
@@ -155,3 +160,148 @@ class TestMergePose:
         merged = table.merge_pose([pose_at_crop(700 - cx0, 560 - cy0)])
         assert merged == []
         assert table.tracks[tid].pose_latest is None
+
+
+def brute_force_associate(table, detections, frame_idx):
+    """TrackTable.associate with iou called on every track/detection pair."""
+    events = StepEvents()
+    free_tracks = set(table.tracks)
+    free_dets = set(range(len(detections)))
+    pairs = []
+    for tid in free_tracks:
+        for di in free_dets:
+            v = iou(table.tracks[tid].bbox, detections[di].bbox)
+            if v >= IOU_MATCH_THRESHOLD:
+                pairs.append((-v, tid, di))
+    gated = []
+    for _, tid, di in sorted(pairs):
+        if tid in free_tracks and di in free_dets:
+            table.tracks[tid].observe(frame_idx, detections[di], table.geometry)
+            events.updated.append(tid)
+            free_tracks.discard(tid)
+            free_dets.discard(di)
+    for tid in free_tracks:
+        track = table.tracks[tid]
+        px, py = track.predicted_center(frame_idx)
+        gate = DIST_GATE_FACTOR * max(track.bbox[2], track.bbox[3])
+        for di in free_dets:
+            cx, cy = detections[di].center
+            d = math.hypot(cx - px, cy - py)
+            if d <= gate:
+                gated.append((d, tid, di))
+    for _, tid, di in sorted(gated):
+        if tid in free_tracks and di in free_dets:
+            table.tracks[tid].observe(frame_idx, detections[di], table.geometry)
+            events.updated.append(tid)
+            free_tracks.discard(tid)
+            free_dets.discard(di)
+    for di in sorted(free_dets):
+        det = detections[di]
+        track = Track(table._next_id, det.vru_class,
+                      table.geometry.classify_point(det.center))
+        table._next_id += 1
+        track.observe(frame_idx, det, table.geometry)
+        table.tracks[track.track_id] = track
+        events.created.append(track.track_id)
+    for tid in sorted(table.tracks):
+        if frame_idx - table.tracks[tid].last_seen > table._retire_after:
+            del table.tracks[tid]
+            events.retired.append(tid)
+    events.updated.sort()
+    return events
+
+
+# box edges on a 5 px grid coincide often; free floats cover the rest
+grid_boxes = st.tuples(*[st.integers(0, 40).map(lambda k: 5.0 * k)] * 2,
+                       *[st.integers(1, 8).map(lambda k: 5.0 * k)] * 2)
+float_boxes = st.tuples(*[st.floats(0.0, 200.0)] * 2, *[st.floats(0.5, 40.0)] * 2)
+
+
+def edge_start(draw, a0, a_len, b_len, kind):
+    """Start of box b on one axis such that b touches an edge of box a
+    (b0 == a0 + a_len, or b0 + b_len == a0 as computed), or overlaps it by
+    1 ulp."""
+    if draw(st.booleans()):
+        c = a0 + a_len
+        return c if kind == "touch" else math.nextafter(c, -math.inf)
+    c = a0 - b_len
+    return c if kind == "touch" else math.nextafter(c, math.inf)
+
+
+@st.composite
+def box_frames(draw):
+    """Frames of boxes; many sit on a box of the frame before with a small
+    shift, touch it exactly on an x or y edge, or overlap it by 1 ulp."""
+    frames, prev, frame_idx = [], [], 0
+    for _ in range(draw(st.integers(1, 8))):
+        boxes = []
+        for _ in range(draw(st.integers(0, 8))):
+            kind = draw(st.sampled_from(
+                ("grid", "float", "shift", "shift", "shift", "touch", "ulp")))
+            if kind in ("grid", "float") or not prev:
+                boxes.append(draw(grid_boxes if kind == "grid" else float_boxes))
+                continue
+            ax, ay, aw, ah = draw(st.sampled_from(prev))
+            b = [ax + aw * draw(st.floats(-0.6, 0.6)), ay + ah * draw(st.floats(-0.6, 0.6)),
+                 aw * draw(st.sampled_from((1.0, 0.8, 1.25))),
+                 ah * draw(st.sampled_from((1.0, 0.8, 1.25)))]
+            if kind != "shift":
+                axis = draw(st.integers(0, 1))
+                b[axis] = edge_start(draw, (ax, ay)[axis], (aw, ah)[axis],
+                                     b[axis + 2], kind)
+            boxes.append(tuple(b))
+        frames.append((frame_idx, boxes))
+        prev = boxes or prev
+        frame_idx += draw(st.sampled_from((1, 1, 2, 45)))  # 45 retires tracks
+    return frames
+
+
+class TestAssociateMatchesBruteForce:
+    @given(box_frames())
+    def test_same_events_ids_and_histories(self, geometry, frames):
+        fast, ref = TrackTable(geometry), TrackTable(geometry)
+        for frame_idx, boxes in frames:
+            dets = [Detection(b, "pedestrian", 0.9) for b in boxes]
+            got = fast.associate(dets, frame_idx)
+            want = brute_force_associate(ref, dets, frame_idx)
+            assert (got.updated, got.created, got.retired) == \
+                (want.updated, want.created, want.retired)
+            assert list(fast.tracks) == list(ref.tracks)
+            for tid, track in fast.tracks.items():
+                assert list(track.history) == list(ref.tracks[tid].history)
+                assert track.zone == ref.tracks[tid].zone
+
+    def test_edge_touching_box_is_not_a_match(self, geometry):
+        table = TrackTable(geometry)
+        table.associate([det(585, 450)], 0)
+        # shares only the edge x = 615 with the track, and lies outside the
+        # distance gate around its center
+        events = table.associate([det(615, 460)], 1)
+        assert events.created and not events.updated
+
+
+class TestMergePoseTranslatesAssignedOnly:
+    def test_assigned_bytes_and_unmatched_poses_untouched(self, geometry, monkeypatch):
+        table = TrackTable(geometry)
+        table.associate([det(570, 450), det(650, 450)], 0)
+        cx0, cy0, _, _ = geometry.crop_rect
+        poses = [pose_at_crop(600.3 - cx0, 480.7 - cy0),     # binds to the first
+                 pose_at_crop(601.0 - cx0, 481.0 - cy0),     # loses to the first
+                 pose_at_crop(10.0, 10.0),                   # outside every gate
+                 pose_at_crop(680.1 - cx0, 479.9 - cy0)]     # binds to the second
+        before = [(p.bbox, p.keypoints.tobytes()) for p in poses]
+        calls = []
+        orig = PoseDetection.translated
+        monkeypatch.setattr(PoseDetection, "translated",
+                            lambda self, dx, dy: calls.append(self) or orig(self, dx, dy))
+        merged = table.merge_pose(poses)
+
+        ids = sorted(table.tracks)
+        assert merged == ids
+        assert sorted(map(id, calls)) == sorted((id(poses[0]), id(poses[3])))
+        for tid, pose in zip(ids, (poses[0], poses[3])):
+            want = orig(pose, cx0, cy0)
+            got = table.tracks[tid].pose_latest
+            assert np.array(got.bbox).tobytes() == np.array(want.bbox).tobytes()
+            assert got.keypoints.tobytes() == want.keypoints.tobytes()
+        assert [(p.bbox, p.keypoints.tobytes()) for p in poses] == before
