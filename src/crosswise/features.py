@@ -103,6 +103,9 @@ def motion_features(history: History, fps: int, px_per_meter: Optional[float] = 
     return (speed, math.sin(theta), math.cos(theta))
 
 
+_POSE_ROWS = np.array([KP_LEFT_SHOULDER, KP_RIGHT_SHOULDER, KP_NOSE])
+
+
 def pose_features(pose: PoseDetection) -> tuple[float, float, float, float, float]:
     """(body sin, body cos, face sin, face cos, shoulder distance px).
 
@@ -111,8 +114,8 @@ def pose_features(pose: PoseDetection) -> tuple[float, float, float, float, floa
     shoulder midpoint to the nose. Keypoints under the 0.3 confidence gate
     zero out the feature group they feed instead of propagating garbage.
     """
-    kps = pose.keypoints
-    ls, rs, nose = kps[KP_LEFT_SHOULDER], kps[KP_RIGHT_SHOULDER], kps[KP_NOSE]
+    # as Python floats: the same IEEE arithmetic without numpy scalar overhead
+    ls, rs, nose = pose.keypoints.take(_POSE_ROWS, axis=0).tolist()
     if ls[2] < KP_CONF_GATE or rs[2] < KP_CONF_GATE:
         return (0.0, 0.0, 0.0, 0.0, 0.0)
     shoulder_dist = float(math.hypot(rs[0] - ls[0], rs[1] - ls[1]))
@@ -151,31 +154,29 @@ def geometric_features(center: tuple[float, float],
     return (dist_a, dist_b, g.waiting_compactness(center))
 
 
-_ZONE_SLOT = {
-    ZoneType.WAITING: 2,
-    ZoneType.START_CROSSING: 3,
-    ZoneType.CROSSING: 4,
-}
-
-
 def step_features(center: tuple[float, float], zone: ZoneKind, history: History,
                   pose: Optional[PoseDetection],
-                  bbox_height: float, g: IntersectionGeometry) -> np.ndarray:
-    """Assemble one frame's 16-slot feature vector (finite by construction)."""
-    v = np.zeros(FEATURE_DIM)
+                  bbox_height: float, g: IntersectionGeometry) -> tuple[float, ...]:
+    """One frame's 16 slots as plain floats, in FEATURE_NAMES order.
+
+    ``zone`` is g.classify_point(center). Raises ValueError when a slot is
+    not finite.
+    """
     w, h = g.frame_size
-    v[0] = center[0] / w
-    v[1] = center[1] / h
-    slot = _ZONE_SLOT.get(zone.kind)
-    if slot is not None:
-        v[slot] = 1.0
-    v[5], v[6], v[7] = motion_features(history, g.fps, g.px_per_meter, g.frame_diagonal)
-    v[8], v[9], v[10] = geometric_features(center, g)
-    if pose is not None:
+    kind = zone.kind
+    if pose is None:
+        pose_slots = (0.0, 0.0, 0.0, 0.0, 0.0)
+    else:
         bs, bc, fs, fc, shoulder = pose_features(pose)
-        v[11], v[12], v[13], v[14] = bs, bc, fs, fc
-        v[15] = shoulder / bbox_height if bbox_height > 0 else 0.0
-    if not np.all(np.isfinite(v)):
+        pose_slots = (bs, bc, fs, fc, shoulder / bbox_height if bbox_height > 0 else 0.0)
+    v = (center[0] / w, center[1] / h,
+         1.0 if kind is ZoneType.WAITING else 0.0,
+         1.0 if kind is ZoneType.START_CROSSING else 0.0,
+         1.0 if kind is ZoneType.CROSSING else 0.0,
+         *motion_features(history, g.fps, g.px_per_meter, g.frame_diagonal),
+         *geometric_features(center, g),
+         *pose_slots)
+    if not all(map(math.isfinite, v)):
         raise ValueError("non-finite feature vector")
     return v
 
@@ -185,8 +186,8 @@ _MEAN_SLOTS = tuple(i for i in range(FEATURE_DIM)
                     and all(i not in pair for pair in ANGLE_PAIRS))
 
 
-def temporal_filter(frames: Sequence[np.ndarray]) -> np.ndarray:
-    """Average 1..10 per-frame vectors into one step.
+def temporal_filter(frames: Sequence[Sequence[float]]) -> np.ndarray:
+    """Average 1..10 per-frame vectors (step_features tuples) into one step.
 
     Plain slots take the arithmetic mean; angle pairs are averaged as vectors
     and re-normalized (near-zero resultants collapse to (0, 0)); the zone
@@ -207,7 +208,7 @@ def temporal_filter(frames: Sequence[np.ndarray]) -> np.ndarray:
             out[si], out[ci] = ms / norm, mc / norm
     # Zone mode: index 0 stands for Outside (all-zero one-hot).
     counts = [0, 0, 0, 0]
-    for row in stack:
+    for row in frames:
         hot = [j for j, slot in enumerate(ONEHOT_SLOTS) if row[slot] > 0.5]
         counts[hot[0] + 1 if hot else 0] += 1
     best = max(range(4), key=lambda j: (counts[j], j))

@@ -47,10 +47,13 @@ class ZoneKind:
     zone_id: Optional[str] = None
     label: Optional[str] = None  # crosswalk letter (A/B) where the zone carries one
 
-    @property
-    def is_observing(self) -> bool:
-        """True in the zones where pose extraction and prediction are active."""
-        return self.kind in (ZoneType.WAITING, ZoneType.START_CROSSING)
+    # True in the zones where pose extraction and prediction are active; set
+    # once here, as the frame path reads it for every track on every frame
+    is_observing: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "is_observing",
+                           self.kind in (ZoneType.WAITING, ZoneType.START_CROSSING))
 
 
 OUTSIDE = ZoneKind(ZoneType.OUTSIDE)
@@ -77,13 +80,41 @@ def polygon_area(poly: Polygon) -> float:
 _EPS = 1e-9  # boundary tolerance of the containment test
 
 
-def _on_segment(px: float, py: float, ax: float, ay: float, bx: float, by: float,
-                eps: float = _EPS) -> bool:
-    cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-    if abs(cross) > eps * max(1.0, abs(bx - ax) + abs(by - ay)):
-        return False
-    return (min(ax, bx) - eps <= px <= max(ax, bx) + eps
-            and min(ay, by) - eps <= py <= max(ay, by) + eps)
+_Edge = tuple[float, float, float, float, float, float, float, float, float, float]
+
+
+def _edges(poly: Polygon) -> tuple[_Edge, ...]:
+    """Per-edge constants of the even-odd walk, edge (poly[i-1], poly[i]) at i.
+
+    Each edge holds (xi, yi, yj, dx, dy, tol, x_lo, x_hi, y_lo, y_hi): its
+    end point i, the y of end point j = i - 1, the direction j - i, the
+    on-edge tolerance eps * max(1, |dx| + |dy|), and its extents widened by
+    eps.
+    """
+    out = []
+    for i in range(len(poly)):
+        xi, yi = poly[i]
+        xj, yj = poly[i - 1]
+        dx, dy = xj - xi, yj - yi
+        out.append((xi, yi, yj, dx, dy, _EPS * max(1.0, abs(dx) + abs(dy)),
+                    min(xi, xj) - _EPS, max(xi, xj) + _EPS,
+                    min(yi, yj) - _EPS, max(yi, yj) + _EPS))
+    return tuple(out)
+
+
+def _inside(x: float, y: float, edges: tuple[_Edge, ...]) -> bool:
+    """Even-odd walk over _edges(poly); a point within eps of an edge is inside.
+
+    A NaN coordinate fails every comparison, so it is never inside.
+    """
+    inside = False
+    for xi, yi, yj, dx, dy, tol, x_lo, x_hi, y_lo, y_hi in edges:
+        if (x_lo <= x <= x_hi and y_lo <= y <= y_hi
+                and not abs(dx * (y - yi) - dy * (x - xi)) > tol):
+            return True
+        if (yi > y) != (yj > y) and x < dx * (y - yi) / dy + xi:
+            inside = not inside
+    return inside
 
 
 def point_in_polygon(p: Point, poly: Polygon) -> bool:
@@ -95,32 +126,13 @@ def point_in_polygon(p: Point, poly: Polygon) -> bool:
         raise GeometryError(f"polygon needs >= 3 vertices, got {len(poly)}")
     if polygon_area(poly) <= 0.0:
         raise GeometryError("degenerate polygon with zero area")
-    return _even_odd(p, poly)
-
-
-def _even_odd(p: Point, poly: Polygon) -> bool:
-    """point_in_polygon on a polygon already known to be valid."""
-    x, y = p
-    n = len(poly)
-    inside = False
-    j = n - 1
-    for i in range(n):
-        xi, yi = poly[i]
-        xj, yj = poly[j]
-        if _on_segment(x, y, xi, yi, xj, yj):
-            return True
-        if (yi > y) != (yj > y):
-            x_cross = (xj - xi) * (y - yi) / (yj - yi) + xi
-            if x < x_cross:
-                inside = not inside
-        j = i
-    return inside
+    return _inside(p[0], p[1], _edges(poly))
 
 
 def _reject_box(poly: Polygon) -> tuple[float, float, float, float]:
-    """(x0, y0, x1, y1) outside which _even_odd(p, poly) is always False.
+    """(x0, y0, x1, y1) outside which point_in_polygon(p, poly) is always False.
 
-    The bounding box widened by _on_segment's eps. On x the margin also grows
+    The bounding box widened by the on-edge eps. On x the margin also grows
     with the largest |x|: the crossing abscissa can round past the polygon's
     extreme x by a few ulps of it, which exceeds 1e-9 for large coordinates.
     """
@@ -148,6 +160,7 @@ class IntersectionGeometry:
     fps: int
     px_per_meter: Optional[float] = None
     frame_size: tuple[float, float] = field(default=(0.0, 0.0))
+    frame_diagonal: float = field(init=False, repr=False, compare=False)  # of frame_size
 
     def __post_init__(self):
         if self.fps <= 0:
@@ -176,16 +189,18 @@ class IntersectionGeometry:
             object.__setattr__(self, "frame_size", self._default_frame_size())
         if not (self.frame_size[0] > 0 and self.frame_size[1] > 0):
             raise GeometryError(f"frame_size must be positive, got {self.frame_size}")
+        object.__setattr__(self, "frame_diagonal",
+                           math.hypot(self.frame_size[0], self.frame_size[1]))
         # Per-zone constants for the per-frame queries. They are not fields, so
         # equality, to_dict and the config file do not see them.
         tiers = ((self.crossing_zones, ZoneType.CROSSING),
                  (self.start_crossing_zones, ZoneType.START_CROSSING),
                  (self.waiting_areas, ZoneType.WAITING))
         object.__setattr__(self, "_classify_order", tuple(
-            (_reject_box(z.polygon), z.polygon, ZoneKind(kind, z.zone_id, z.label))
+            (_reject_box(z.polygon), _edges(z.polygon), ZoneKind(kind, z.zone_id, z.label))
             for zones, kind in tiers for z in zones))
         object.__setattr__(self, "_waiting", tuple(
-            (_reject_box(z.polygon), z.polygon,
+            (_reject_box(z.polygon), _edges(z.polygon),
              (sum(q[0] for q in z.polygon) / len(z.polygon),
               sum(q[1] for q in z.polygon) / len(z.polygon)),
              polygon_area(z.polygon) / self.frame_area)
@@ -198,10 +213,6 @@ class IntersectionGeometry:
             xs.extend(p[0] for p in zone.polygon)
             ys.extend(p[1] for p in zone.polygon)
         return (float(math.ceil(max(xs))), float(math.ceil(max(ys))))
-
-    @property
-    def frame_diagonal(self) -> float:
-        return math.hypot(self.frame_size[0], self.frame_size[1])
 
     @property
     def frame_area(self) -> float:
@@ -217,8 +228,8 @@ class IntersectionGeometry:
         priority tier the first zone in declaration order wins.
         """
         x, y = p
-        for (x0, y0, x1, y1), poly, zone_kind in self._classify_order:
-            if x0 <= x <= x1 and y0 <= y <= y1 and _even_odd(p, poly):
+        for (x0, y0, x1, y1), edges, zone_kind in self._classify_order:
+            if x0 <= x <= x1 and y0 <= y <= y1 and _inside(x, y, edges):
                 return zone_kind
         return OUTSIDE
 
@@ -239,13 +250,14 @@ class IntersectionGeometry:
         return (x, y)
 
     def _waiting_index(self, p: Point) -> Optional[int]:
+        waiting = self._waiting
+        if len(waiting) < 2:  # the one area serves every point
+            return 0 if waiting else None
         x, y = p
-        for i, ((x0, y0, x1, y1), poly, _, _) in enumerate(self._waiting):
-            if x0 <= x <= x1 and y0 <= y <= y1 and _even_odd(p, poly):
+        for i, ((x0, y0, x1, y1), edges, _, _) in enumerate(waiting):
+            if x0 <= x <= x1 and y0 <= y <= y1 and _inside(x, y, edges):
                 return i
-        if not self._waiting:
-            return None
-        centroids = [c for _, _, c, _ in self._waiting]
+        centroids = [c for _, _, c, _ in waiting]
         return min(range(len(centroids)),
                    key=lambda i: math.hypot(x - centroids[i][0], y - centroids[i][1]))
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -25,8 +26,15 @@ CONDITIONS = ("day", "night", "rain")
 
 N_KEYPOINTS = 17
 KP_NOSE, KP_LEFT_SHOULDER, KP_RIGHT_SHOULDER = 0, 5, 6
-_KP_LOW = np.array([-np.finfo(float).max, -np.finfo(float).max, 0.0])
-_KP_HIGH = np.array([np.finfo(float).max, np.finfo(float).max, 1.0])
+
+# Bounds of a record (px). Every bbox holds them, read from a stream or built
+# in code; stream keypoints hold COORD_LIMIT too, while keypoints built in code
+# may take any finite value. Within the bounds every feature is finite, in
+# float32 too, for a geometry of camera scale (see README, stream format).
+COORD_LIMIT = 1e7      # |x| and |y| of a bbox or keypoint; bbox w and h
+MIN_BBOX_SIDE = 1e-3   # bbox w and h
+_FLOAT_MAX = float(np.finfo(float).max)
+_JSON_NUMBER = frozenset((int, float))  # what json.loads gives for a number; not bool
 
 
 class StreamFormatError(ValueError):
@@ -38,13 +46,29 @@ class StreamFormatError(ValueError):
 
 
 def _check_bbox(bbox, what: str) -> None:
+    """Raise ValueError unless bbox is (x, y, w, h) with |x|, |y| <= COORD_LIMIT
+    and MIN_BBOX_SIDE <= w, h <= COORD_LIMIT."""
     if len(bbox) != 4:
-        raise ValueError(f"{what} bbox must have 4 values (x, y, w, h): {bbox}")
-    # json.loads accepts NaN and Infinity, and comparisons let NaN through
-    if not all(map(math.isfinite, bbox)):
-        raise ValueError(f"bbox values must be finite: {bbox}")
-    if bbox[2] <= 0 or bbox[3] <= 0:
-        raise ValueError(f"{what} bbox must have positive size: {bbox}")
+        raise ValueError(f"{what} bbox must have 4 values (x, y, w, h): {bbox!r}")
+    x, y, w, h = bbox
+    # NaN fails every comparison; a JSON integer is compared exactly
+    if not (-COORD_LIMIT <= x <= COORD_LIMIT and -COORD_LIMIT <= y <= COORD_LIMIT
+            and MIN_BBOX_SIDE <= w <= COORD_LIMIT and MIN_BBOX_SIDE <= h <= COORD_LIMIT):
+        if not all(v == v and abs(v) != math.inf for v in bbox):
+            raise ValueError(f"bbox values must be finite: {bbox!r}")
+        if not (w >= MIN_BBOX_SIDE and h >= MIN_BBOX_SIDE):
+            raise ValueError(f"{what} bbox must have positive size, w and h >= "
+                             f"{MIN_BBOX_SIDE}: {bbox!r}")
+        raise ValueError(f"{what} bbox values must be within +-{COORD_LIMIT:g}: {bbox!r}")
+
+
+def _check_keypoints(kps: np.ndarray, xy_limit: float) -> None:
+    """Raise ValueError unless every keypoint x, y lies within +-xy_limit and
+    every confidence within [0, 1]."""
+    # one pass: NaN fails every comparison, and +-inf falls outside the bounds
+    if not ((kps >= (-xy_limit, -xy_limit, 0.0)) & (kps <= (xy_limit, xy_limit, 1.0))).all():
+        raise ValueError(f"keypoint x, y must be finite within +-{xy_limit:g} "
+                         "and confidences in [0,1]")
 
 
 @dataclass(frozen=True)
@@ -78,9 +102,7 @@ class PoseDetection:
         kps = np.asarray(self.keypoints, dtype=float)
         if kps.shape != (N_KEYPOINTS, 3):
             raise ValueError(f"expected {N_KEYPOINTS} keypoints, got shape {kps.shape}")
-        # one pass: NaN fails every comparison, and +-inf falls outside the bounds
-        if not ((kps >= _KP_LOW) & (kps <= _KP_HIGH)).all():
-            raise ValueError("keypoint x, y must be finite and confidences in [0,1]")
+        _check_keypoints(kps, _FLOAT_MAX)
         object.__setattr__(self, "keypoints", kps)
 
     @property
@@ -91,14 +113,28 @@ class PoseDetection:
     def translated(self, dx: float, dy: float) -> "PoseDetection":
         """This pose shifted by (dx, dy); built without re-running the checks
         that this pose already passed."""
-        kps = self.keypoints.copy()
-        kps[:, 0] += dx
-        kps[:, 1] += dy
+        # adding -0.0 leaves every confidence's bits as they are, -0.0 included
+        kps = self.keypoints + np.array((dx, dy, -0.0))
         x, y, w, h = self.bbox
-        out = object.__new__(PoseDetection)
-        object.__setattr__(out, "bbox", (x + dx, y + dy, w, h))
-        object.__setattr__(out, "keypoints", kps)
-        return out
+        return _trusted_pose((x + dx, y + dy, w, h), kps)
+
+
+def _trusted_detection(bbox: tuple[float, float, float, float], vru_class: str,
+                       conf: float) -> Detection:
+    """A Detection from fields the caller has checked; skips __post_init__."""
+    out = object.__new__(Detection)
+    d = out.__dict__
+    d["bbox"], d["vru_class"], d["conf"] = bbox, vru_class, conf
+    return out
+
+
+def _trusted_pose(bbox: tuple[float, float, float, float],
+                  keypoints: np.ndarray) -> PoseDetection:
+    """A PoseDetection from fields the caller has checked; skips __post_init__."""
+    out = object.__new__(PoseDetection)
+    d = out.__dict__
+    d["bbox"], d["keypoints"] = bbox, keypoints
+    return out
 
 
 @dataclass(frozen=True)
@@ -142,21 +178,58 @@ def _json_list(obj: dict, key: str) -> list:
     return value
 
 
+def _stream_bbox(value, what: str) -> tuple[float, float, float, float]:
+    """A stream bbox: a JSON list of 4 JSON numbers that _check_bbox accepts."""
+    if type(value) is not list:
+        raise ValueError(f"{what} bbox must be a JSON list of 4 values (x, y, w, h): "
+                         f"{value!r}")
+    if not _JSON_NUMBER.issuperset(map(type, value)):
+        raise ValueError(f"{what} bbox values must be JSON numbers: {value!r}")
+    _check_bbox(value, what)
+    x, y, w, h = value
+    return (float(x), float(y), float(w), float(h))
+
+
+def _stream_detection(d) -> Detection:
+    bbox = _stream_bbox(d["bbox"], "detection")
+    conf, vru_class = d["conf"], d["class"]
+    if type(conf) not in _JSON_NUMBER or not 0 <= conf <= 1:
+        raise ValueError(f"detection conf must be a JSON number in [0,1], got {conf!r}")
+    if vru_class not in VRU_CLASSES:
+        raise ValueError(f"unknown VRU class {vru_class!r}")
+    return _trusted_detection(bbox, vru_class, float(conf))
+
+
+def _stream_poses(items: list) -> tuple[PoseDetection, ...]:
+    """All poses of one frame; their keypoints are converted and checked as
+    one (P, 17, 3) array, and each pose holds its row."""
+    if not items:
+        return ()
+    bboxes = [_stream_bbox(p["bbox"], "pose") for p in items]
+    per_pose = [p["kps"] for p in items]
+    rows = list(chain.from_iterable(per_pose))
+    values = list(chain.from_iterable(rows))
+    if not _JSON_NUMBER.issuperset(map(type, values)):
+        raise ValueError("keypoint values must be JSON numbers")
+    # a total of n * k with no part longer than k: every part has length k
+    if (len(rows) != N_KEYPOINTS * len(per_pose) or max(map(len, per_pose)) != N_KEYPOINTS
+            or len(values) != 3 * len(rows) or max(map(len, rows)) != 3):
+        raise ValueError(f"expected {N_KEYPOINTS} keypoints of (x, y, conf) per pose")
+    kps = np.array(values, dtype=float).reshape(len(items), N_KEYPOINTS, 3)
+    _check_keypoints(kps, COORD_LIMIT)
+    return tuple(map(_trusted_pose, bboxes, kps))
+
+
 def _record_from_obj(obj, line_no: int) -> FrameRecord:
+    """One stream line's record. Its values must be JSON numbers (no bool, no
+    string) within the stream bounds; each rejection carries the line number."""
     if type(obj) is not dict:
         raise StreamFormatError(line_no, f"record must be a JSON object, got {obj!r}")
     try:
-        dets = tuple(
-            Detection(tuple(float(v) for v in d["bbox"]), d["class"], float(d["conf"]))
-            for d in _json_list(obj, "dets"))
-        poses = tuple(
-            PoseDetection(tuple(float(v) for v in p["bbox"]),
-                          np.asarray(p["kps"], dtype=float))
-            for p in _json_list(obj, "poses"))
+        dets = tuple(map(_stream_detection, _json_list(obj, "dets")))
+        poses = _stream_poses(_json_list(obj, "poses"))
         return FrameRecord(_json_int(obj, "frame"), _json_int(obj, "ts_ms"), dets, poses)
-    except StreamFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StreamFormatError(line_no, str(exc)) from exc
 
 
@@ -170,8 +243,9 @@ def write_stream(records: Iterable[FrameRecord], path: str | Path) -> None:
 def read_stream(path: str | Path) -> Iterator[FrameRecord]:
     """Yield validated FrameRecords from a JSON-lines file, in file order.
 
-    Raises StreamFormatError (with line number) for malformed lines,
-    non-monotonic frame indices, or decreasing timestamps.
+    Raises StreamFormatError (with line number) for malformed lines, values
+    that are not JSON numbers or lie outside the stream bounds (COORD_LIMIT,
+    MIN_BBOX_SIDE), non-monotonic frame indices, or decreasing timestamps.
     """
     last_frame = -1
     last_ts = -1

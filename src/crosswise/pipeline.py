@@ -42,6 +42,9 @@ class TrackState(Enum):
     DONE = "done"
 
 
+_WINDOWING = (TrackState.OBSERVING, TrackState.PREDICTED)  # states that build windows
+
+
 @dataclass(frozen=True)
 class I2VAlert:
     track_id: int
@@ -69,7 +72,7 @@ class I2VAlert:
 class _TrackCtx:
     state: TrackState = TrackState.IDLE
     birth_frame: Optional[int] = None          # first frame observed in-zone
-    frame_buffer: list[np.ndarray] = field(default_factory=list)
+    frame_buffer: list[tuple[float, ...]] = field(default_factory=list)
     assembler: Optional[WindowAssembler] = None
     latest_prediction: Optional[Prediction] = None
     alerted_labels: set[str] = field(default_factory=set)
@@ -143,12 +146,12 @@ class Pipeline:
         self.last_frame = rec.frame_idx
         out = StepOutput(rec.frame_idx)
 
-        events = self.table.associate(list(rec.detections), rec.frame_idx)
+        events = self.table.associate(rec.detections, rec.frame_idx)
         self.tracks_created += len(events.created)
         for tid in events.created:
             self.ctx[tid] = _TrackCtx()
 
-        merged = self.table.merge_pose(list(rec.crop_poses))
+        merged = self.table.merge_pose(rec.crop_poses)
         for tid in merged:
             if self.table.tracks[tid].zone.kind == ZoneType.CROSSING:
                 self.pose_merges_while_crossing += 1  # must never happen
@@ -158,22 +161,22 @@ class Pipeline:
             if ctx is not None and ctx.state != TrackState.DONE:
                 self._set_state(tid, ctx, TrackState.DONE, out)
 
-        seen = set(events.updated) | set(events.created)
-        # pass 1, per live track in id order (every live track has a ctx, and
-        # none of those is DONE): transitions, segment flush, feature append;
-        # windows are collected here and scored together below
+        seen = set(events.updated)
+        seen.update(events.created)
+        # pass 1, per live track in id order (the track table iterates in id
+        # order; every live track has a ctx, and none of those is DONE):
+        # transitions, segment flush, feature append; windows are collected
+        # here and scored together below
         todo: list[tuple[int, _TrackCtx, Optional[FeatureWindow], bool]] = []
-        for tid in sorted(self.table.tracks):
+        for tid, track in self.table.tracks.items():
             ctx = self.ctx[tid]
-            track = self.table.tracks[tid]
             zone = track.zone
             is_seen = tid in seen
 
             # transitions happen on observation frames; zones cannot change
             # while a track goes unseen
             if is_seen:
-                if zone.kind == ZoneType.CROSSING and ctx.state in (
-                        TrackState.OBSERVING, TrackState.PREDICTED):
+                if zone.kind is ZoneType.CROSSING and ctx.state in _WINDOWING:
                     self._set_state(tid, ctx, TrackState.CROSSING, out)
                     ctx.windows_stopped = True
                     ctx.frame_buffer = []
@@ -184,7 +187,7 @@ class Pipeline:
                     ctx.birth_frame = rec.frame_idx
                     ctx.assembler = WindowAssembler(tid)
 
-            if ctx.state not in (TrackState.OBSERVING, TrackState.PREDICTED):
+            if ctx.state not in _WINDOWING:
                 continue
 
             # segment boundaries run on the stream clock, observed or not, so
@@ -206,7 +209,7 @@ class Pipeline:
                     track.center, zone, track.history, track.pose_latest,
                     track.bbox[3], self.geometry))
 
-            fast = is_seen and zone.kind == ZoneType.START_CROSSING
+            fast = is_seen and zone.kind is ZoneType.START_CROSSING
             if window is not None or fast:
                 todo.append((tid, ctx, window, fast))
 
@@ -281,13 +284,16 @@ def run(records: Iterable[FrameRecord], geometry: IntersectionGeometry,
     n_frames = 0
     n_preds = 0
     n_alerts = 0
-    step_ms: list[float] = []
+    step_ms_sum = 0.0  # running values: the summary must not grow with the stream
+    step_ms_max = 0.0
     t0 = time.perf_counter()
     try:
         for rec in records:
             s0 = time.perf_counter()
             out = pipe.step(rec)
-            step_ms.append((time.perf_counter() - s0) * 1000.0)
+            ms = (time.perf_counter() - s0) * 1000.0
+            step_ms_sum += ms
+            step_ms_max = max(step_ms_max, ms)
             n_frames += 1
             for pred in out.predictions:
                 n_preds += 1
@@ -316,8 +322,8 @@ def run(records: Iterable[FrameRecord], geometry: IntersectionGeometry,
         "tracks_created": pipe.tracks_created,
         "predictions": n_preds,
         "alerts": n_alerts,
-        "mean_step_ms": float(np.mean(step_ms)) if step_ms else 0.0,
-        "max_step_ms": float(np.max(step_ms)) if step_ms else 0.0,
+        "mean_step_ms": step_ms_sum / n_frames if n_frames else 0.0,
+        "max_step_ms": step_ms_max,
         "wall_s": wall,
         "fps": n_frames / wall if wall > 0 else 0.0,
     }

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Optional
+from typing import Deque, Optional, Sequence
 
-from .geom import GeometryError, IntersectionGeometry, ZoneKind
+from .geom import OUTSIDE, GeometryError, IntersectionGeometry, ZoneKind
 from .ingest import Detection, PoseDetection
 
 IOU_MATCH_THRESHOLD = 0.3
@@ -65,9 +65,10 @@ class Track:
         return (p2[0] + vx * dt, p2[1] + vy * dt)
 
     def observe(self, frame_idx: int, det: Detection, g: IntersectionGeometry) -> None:
-        self.history.append((frame_idx, det.center, det.bbox))
+        center = det.center
+        self.history.append((frame_idx, center, det.bbox))
         self.last_seen = frame_idx
-        self.zone = g.classify_point(det.center)
+        self.zone = g.classify_point(center)
 
 
 @dataclass
@@ -80,7 +81,11 @@ class StepEvents:
 
 
 class TrackTable:
-    """Owns the active track set; one pipeline stage updates it per frame."""
+    """Owns the active track set; one pipeline stage updates it per frame.
+
+    ``tracks`` iterates in increasing id order: ids only grow, and a dict
+    keeps insertion order.
+    """
 
     def __init__(self, geometry: IntersectionGeometry):
         self.geometry = geometry
@@ -88,7 +93,7 @@ class TrackTable:
         self._next_id = 1
         self._retire_after = int(RETIRE_AFTER_SECONDS * geometry.fps)
 
-    def associate(self, detections: list[Detection], frame_idx: int) -> StepEvents:
+    def associate(self, detections: Sequence[Detection], frame_idx: int) -> StepEvents:
         """Match detections to tracks, spawn the rest, retire stale tracks.
 
         Matching runs in two passes: greedy on descending IoU (>= 0.3), then
@@ -141,22 +146,21 @@ class TrackTable:
 
         for di in sorted(free_dets):
             det = detections[di]
-            track = Track(self._next_id, det.vru_class,
-                          self.geometry.classify_point(det.center))
+            track = Track(self._next_id, det.vru_class, OUTSIDE)  # observe sets the zone
             self._next_id += 1
             track.observe(frame_idx, det, self.geometry)
             self.tracks[track.track_id] = track
             events.created.append(track.track_id)
 
-        for tid in sorted(self.tracks):
-            if frame_idx - self.tracks[tid].last_seen > self._retire_after:
-                del self.tracks[tid]
-                events.retired.append(tid)
+        events.retired = [tid for tid, track in self.tracks.items()
+                          if frame_idx - track.last_seen > self._retire_after]
+        for tid in events.retired:
+            del self.tracks[tid]
 
         events.updated.sort()
         return events
 
-    def merge_pose(self, poses: list[PoseDetection]) -> list[int]:
+    def merge_pose(self, poses: Sequence[PoseDetection]) -> list[int]:
         """Attach crop-frame poses to the nearest waiting/start-crossing track.
 
         Pose bboxes are translated to the full frame via the crop origin; a

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crosswise.features import (FEATURE_DIM, FEATURE_GROUPS,
+from crosswise.features import (FEATURE_DIM, FEATURE_GROUPS, KP_CONF_GATE,
                                 WindowAssembler, geometric_features, mask_for_groups,
                                 motion_features, pose_features, step_features,
                                 temporal_filter)
-from crosswise.geom import ZoneKind, ZoneType
+from crosswise.geom import (IntersectionGeometry, Zone, ZoneKind, ZoneType, demo_geometry,
+                            point_in_polygon, polygon_area)
 from crosswise.ingest import PoseDetection
 
 
@@ -228,3 +231,173 @@ class TestStepFeatures:
         assert sorted(np.where(keep)[0]) == list(FEATURE_GROUPS["P"])
         with pytest.raises(ValueError):
             mask_for_groups(["X"])
+
+
+# --- step_features against the ndarray code it replaced ----------------------
+
+
+def legacy_pose_features(pose):
+    """pose_features as it was, on numpy scalars."""
+    kps = pose.keypoints
+    ls, rs, nose = kps[5], kps[6], kps[0]
+    if ls[2] < KP_CONF_GATE or rs[2] < KP_CONF_GATE:
+        return (0.0, 0.0, 0.0, 0.0, 0.0)
+    shoulder_dist = float(math.hypot(rs[0] - ls[0], rs[1] - ls[1]))
+    if nose[2] < KP_CONF_GATE:
+        return (0.0, 0.0, 0.0, 0.0, shoulder_dist)
+    mid = ((ls[0] + rs[0]) / 2.0, (ls[1] + rs[1]) / 2.0)
+    fx, fy = nose[0] - mid[0], nose[1] - mid[1]
+    if math.hypot(fx, fy) < 1e-9:
+        face = (0.0, 0.0)
+    else:
+        phi_f = math.atan2(fy, fx)
+        face = (math.sin(phi_f), math.cos(phi_f))
+    seg = (rs[0] - ls[0], rs[1] - ls[1])
+    if math.hypot(*seg) < 1e-9:
+        return (0.0, 0.0, *face, shoulder_dist)
+    normal = (seg[1], -seg[0])
+    side = normal[0] * fx + normal[1] * fy
+    if side < 0:
+        normal = (-normal[0], -normal[1])
+    elif side == 0:
+        return (0.0, 0.0, *face, shoulder_dist)
+    phi_b = math.atan2(normal[1], normal[0])
+    return (math.sin(phi_b), math.cos(phi_b), *face, shoulder_dist)
+
+
+def legacy_compactness(g, p):
+    """The waiting area by the validating walk, else by nearest centroid."""
+    area = next((z for z in g.waiting_areas if point_in_polygon(p, z.polygon)), None)
+    if area is None:
+        area = min(g.waiting_areas, key=lambda z: math.hypot(
+            p[0] - sum(q[0] for q in z.polygon) / len(z.polygon),
+            p[1] - sum(q[1] for q in z.polygon) / len(z.polygon)))
+    return polygon_area(area.polygon) / g.frame_area
+
+
+def legacy_step_features(center, zone, history, pose, bbox_height, g):
+    """step_features as it was: slot stores into a float64 array."""
+    v = np.zeros(FEATURE_DIM)
+    w, h = g.frame_size
+    v[0] = center[0] / w
+    v[1] = center[1] / h
+    slot = {ZoneType.WAITING: 2, ZoneType.START_CROSSING: 3,
+            ZoneType.CROSSING: 4}.get(zone.kind)
+    if slot is not None:
+        v[slot] = 1.0
+    diag = math.hypot(w, h)
+    v[5], v[6], v[7] = motion_features(history, g.fps, g.px_per_meter, diag)
+    ax, ay = g.crosswalk_entries["A"]
+    bx, by = g.crosswalk_entries["B"]
+    v[8] = math.hypot(center[0] - ax, center[1] - ay) / diag
+    v[9] = math.hypot(center[0] - bx, center[1] - by) / diag
+    v[10] = legacy_compactness(g, center)
+    if pose is not None:
+        bs, bc, fs, fc, shoulder = legacy_pose_features(pose)
+        v[11], v[12], v[13], v[14] = bs, bc, fs, fc
+        v[15] = shoulder / bbox_height if bbox_height > 0 else 0.0
+    if not np.all(np.isfinite(v)):
+        raise ValueError("non-finite feature vector")
+    return v
+
+
+def _geometries():
+    g = demo_geometry()
+    second = Zone("wait", ((600.0, 400.0), (710.0, 400.0), (710.0, 575.0), (600.0, 575.0)))
+    two = IntersectionGeometry(
+        waiting_areas=(*g.waiting_areas, second),
+        start_crossing_zones=g.start_crossing_zones, crossing_zones=g.crossing_zones,
+        crosswalk_entries=g.crosswalk_entries, crop_rect=g.crop_rect, fps=g.fps,
+        px_per_meter=g.px_per_meter, frame_size=g.frame_size)
+    return (g, demo_geometry(px_per_meter=None), two)
+
+
+GEOMETRIES = _geometries()
+position = st.one_of(st.tuples(st.floats(150.0, 760.0), st.floats(80.0, 620.0)),
+                     st.tuples(st.floats(-1e7, 1e7), st.floats(-1e7, 1e7)),
+                     st.sampled_from([(520.0, 480.0), (600.0, 420.0), (680.0, 560.0),
+                                      (705.0, 500.0), (440.0, 490.0)]))
+gate_conf = st.one_of(st.floats(0.3, 1.0), st.floats(0.3, 1.0), st.floats(0.0, 1.0),
+                      st.sampled_from([0.0, 0.3, 0.29999999999999993]))
+heights = st.one_of(st.floats(0.0, 1e3), st.sampled_from([0.0, 5e-324, 1e-9, 1e-3, 1.0, 80.0]))
+
+
+def outcome(fn, case):
+    """The slot bytes, or the ValueError message."""
+    try:
+        return np.asarray(fn(*case), dtype=float).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def pose_case(draw):
+    kps = np.array([[draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3)),
+                     draw(gate_conf)] for _ in range(17)])
+    shape = draw(st.sampled_from(("random", "nose_on_line", "same_shoulders", "nose_at_mid")))
+    if shape == "nose_on_line":
+        kps[0, :2] = kps[5, :2] + draw(st.floats(-2.0, 2.0)) * (kps[6, :2] - kps[5, :2])
+    elif shape == "same_shoulders":
+        kps[6, :2] = kps[5, :2]
+    elif shape == "nose_at_mid":
+        kps[0, :2] = (kps[5, :2] + kps[6, :2]) / 2.0
+    return PoseDetection((0.0, 0.0, 40.0, 80.0), kps)
+
+
+@st.composite
+def step_case(draw):
+    g = draw(st.sampled_from(GEOMETRIES))
+    center = draw(position)
+    if draw(st.booleans()):
+        zone = g.classify_point(center)  # what the pipeline passes
+    else:
+        zone = ZoneKind(draw(st.sampled_from(list(ZoneType))), "wait")
+    history, frame = [], 0
+    for p in draw(st.lists(position, max_size=5)) + [center]:
+        frame += draw(st.integers(1, 12))
+        history.append((frame, p, (p[0] - 15.0, p[1] - 30.0, 30.0, 60.0)))
+    pose = draw(st.one_of(st.none(), pose_case(), pose_case(), pose_case()))
+    bbox_height = draw(heights)
+    return center, zone, history, pose, bbox_height, g
+
+
+class TestStepFeaturesMatchLegacyArray:
+    """16 plain floats, bit for bit the slots the ndarray code stored."""
+
+    @settings(max_examples=300)
+    @given(step_case())
+    def test_same_bytes(self, case):
+        assert outcome(step_features, case) == outcome(legacy_step_features, case)
+
+    @given(pose_case(), heights)
+    def test_pose_slots_over_any_height(self, pose, bbox_height):
+        g = GEOMETRIES[0]
+        case = ((600.0, 480.0), g.classify_point((600.0, 480.0)),
+                [(0, (600.0, 480.0), (585.0, 450.0, 30.0, 60.0))], pose, bbox_height, g)
+        assert outcome(step_features, case) == outcome(legacy_step_features, case)
+
+    @given(step_case())
+    def test_plain_floats(self, case):
+        try:
+            got = step_features(*case)
+        except ValueError:
+            return
+        assert type(got) is tuple and len(got) == FEATURE_DIM
+        assert all(type(v) is float for v in got)
+
+    @given(pose_case())
+    def test_pose_features_same_bytes(self, pose):
+        assert (np.array(pose_features(pose)).tobytes()
+                == np.array(legacy_pose_features(pose)).tobytes())
+
+    def test_non_finite_slot_still_raises(self, geometry):
+        kps = np.full((17, 3), 0.9)
+        kps[5, 0], kps[6, 0] = -1e308, 1e308  # the shoulder distance overflows
+        pose = PoseDetection((0.0, 0.0, 40.0, 80.0), kps)
+        args = ((600.0, 480.0), geometry.classify_point((600.0, 480.0)),
+                hist([(0, (600.0, 480.0))]), pose, 80.0, geometry)
+        with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore",
+                                                                        invalid="ignore"):
+            legacy_step_features(*args)
+        with pytest.raises(ValueError, match="non-finite"):
+            step_features(*args)

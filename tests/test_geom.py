@@ -268,3 +268,174 @@ class TestGeometryValidation:
 def test_polygon_area():
     assert polygon_area(UNIT_SQUARE) == 1.0
     assert polygon_area(((0, 0), (2, 0), (1, 3))) == pytest.approx(3.0)
+
+
+# --- the precomputed edge walk against the walk it replaced -----------------
+
+
+def legacy_on_segment(px, py, ax, ay, bx, by, eps=1e-9):
+    cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+    if abs(cross) > eps * max(1.0, abs(bx - ax) + abs(by - ay)):
+        return False
+    return (min(ax, bx) - eps <= px <= max(ax, bx) + eps
+            and min(ay, by) - eps <= py <= max(ay, by) + eps)
+
+
+def legacy_even_odd(p, poly):
+    """The even-odd walk as it was before the per-edge constants."""
+    x, y = p
+    n = len(poly)
+    inside = False
+    j = n - 1
+    for i in range(n):
+        xi, yi = poly[i]
+        xj, yj = poly[j]
+        if legacy_on_segment(x, y, xi, yi, xj, yj):
+            return True
+        if (yi > y) != (yj > y):
+            x_cross = (xj - xi) * (y - yi) / (yj - yi) + xi
+            if x < x_cross:
+                inside = not inside
+        j = i
+    return inside
+
+
+def legacy_classify(g, p):
+    for zones, kind in ((g.crossing_zones, ZoneType.CROSSING),
+                        (g.start_crossing_zones, ZoneType.START_CROSSING),
+                        (g.waiting_areas, ZoneType.WAITING)):
+        for zone in zones:
+            if legacy_even_odd(p, zone.polygon):
+                return ZoneKind(kind, zone.zone_id, zone.label)
+    return OUTSIDE
+
+
+def legacy_waiting_index(g, p):
+    """IntersectionGeometry._waiting_index as it was: walk, then centroid."""
+    for i, zone in enumerate(g.waiting_areas):
+        if legacy_even_odd(p, zone.polygon):
+            return i
+    centroids = [(sum(q[0] for q in z.polygon) / len(z.polygon),
+                  sum(q[1] for q in z.polygon) / len(z.polygon)) for z in g.waiting_areas]
+    return min(range(len(centroids)), key=lambda i: math.hypot(
+        p[0] - centroids[i][0], p[1] - centroids[i][1]))
+
+
+# offsets up to a few on-edge tolerances of a long edge (eps * (|dx| + |dy|))
+NEAR = (0.0, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9, -2e-9, 5e-8, -5e-8, 2e-7, -2e-7, 1e-6, -1e-6)
+small = st.floats(-1e3, 1e3)
+large = st.floats(-1e9, 1e9)
+
+
+@st.composite
+def polygon_and_point(draw):
+    coord = draw(st.sampled_from((small, large)))
+    poly = tuple(draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=6)))
+    if polygon_area(poly) <= 0.0:
+        poly = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+    how = draw(st.sampled_from(("random", "vertex", "edge", "wide")))
+    if how == "random":
+        p = (draw(coord), draw(coord))
+    elif how == "wide":  # large |x| next to a small polygon, or the reverse
+        p = (draw(st.sampled_from((-1, 1))) * draw(st.floats(1e6, 1e12)), draw(coord))
+    else:
+        i = draw(st.integers(0, len(poly) - 1))
+        if how == "vertex":
+            p = poly[i]
+        else:
+            p = on_edge((poly[i - 1], poly[i]), draw(st.floats(0.0, 1.0)))
+    dx, dy = draw(st.sampled_from(NEAR)), draw(st.sampled_from(NEAR))
+    return poly, (p[0] + dx, p[1] + dy)
+
+
+class TestEdgeWalkMatchesLegacyWalk:
+    """The per-edge constants keep every float expression: same answers."""
+
+    @given(polygon_and_point())
+    def test_point_in_polygon(self, case):
+        poly, p = case
+        assert point_in_polygon(p, poly) == legacy_even_odd(p, poly)
+
+    @given(st.one_of(demo_points, st.builds(
+        lambda p, dx, dy: (p[0] + dx, p[1] + dy), boundary_points,
+        st.sampled_from(NEAR), st.sampled_from(NEAR))))
+    def test_classify_point(self, p):
+        assert DEMO.classify_point(p) == legacy_classify(DEMO, p)
+
+    def test_every_demo_vertex_and_edge_offset(self):
+        for (ax, ay), (bx, by) in DEMO_EDGES:
+            for t in (0.0, 0.25, 0.5, 1.0):
+                for dx in NEAR:
+                    for dy in NEAR:
+                        p = (ax + t * (bx - ax) + dx, ay + t * (by - ay) + dy)
+                        assert DEMO.classify_point(p) == legacy_classify(DEMO, p)
+
+    @pytest.mark.parametrize("p", [(math.nan, 480.0), (600.0, math.nan),
+                                   (math.nan, math.nan)])
+    def test_nan_is_in_no_zone(self, p):
+        for zone in DEMO_ZONES:
+            assert not point_in_polygon(p, zone.polygon)
+        assert DEMO.classify_point(p) is OUTSIDE
+
+
+def two_waiting_areas():
+    """Demo zones with two overlapping waiting areas of different size."""
+    g = demo_geometry()
+    second = Zone("wait2", ((600.0, 400.0), (710.0, 400.0), (710.0, 575.0), (600.0, 575.0)))
+    return IntersectionGeometry(
+        waiting_areas=(*g.waiting_areas, second),
+        start_crossing_zones=g.start_crossing_zones, crossing_zones=g.crossing_zones,
+        crosswalk_entries=g.crosswalk_entries, crop_rect=g.crop_rect, fps=g.fps,
+        px_per_meter=g.px_per_meter, frame_size=g.frame_size)
+
+
+TWO_WAIT = two_waiting_areas()
+TWO_WAIT_VERTICES = sorted({q for z in TWO_WAIT.waiting_areas for q in z.polygon})
+TWO_WAIT_EDGES = [(z.polygon[i - 1], z.polygon[i]) for z in TWO_WAIT.waiting_areas
+                  for i in range(len(z.polygon))]
+two_wait_points = st.builds(
+    lambda p, dx, dy: (p[0] + dx, p[1] + dy),
+    st.one_of(st.tuples(st.floats(380.0, 800.0), st.floats(300.0, 650.0)),
+              st.sampled_from(TWO_WAIT_VERTICES),
+              st.builds(on_edge, st.sampled_from(TWO_WAIT_EDGES), st.floats(0.0, 1.0))),
+    st.sampled_from(NEAR), st.sampled_from(NEAR))
+
+
+class TestWaitingCompactnessMatchesLegacyWalk:
+    """The edge walk and the one-area shortcut change no compactness."""
+
+    @staticmethod
+    def check(g, p):
+        i = legacy_waiting_index(g, p)
+        assert g.waiting_compactness(p) == polygon_area(g.waiting_areas[i].polygon) / g.frame_area
+        assert g.waiting_area_for(p) is g.waiting_areas[i]
+
+    @given(two_wait_points)
+    def test_two_overlapping_areas(self, p):
+        self.check(TWO_WAIT, p)
+
+    @given(two_wait_points)
+    def test_one_area(self, p):
+        self.check(DEMO, p)
+
+    def test_no_waiting_area(self):
+        g = demo_geometry()
+        g0 = IntersectionGeometry(
+            waiting_areas=(), start_crossing_zones=g.start_crossing_zones,
+            crossing_zones=g.crossing_zones, crosswalk_entries=g.crosswalk_entries,
+            crop_rect=g.crop_rect, fps=g.fps, frame_size=g.frame_size)
+        assert g0.waiting_compactness((600.0, 480.0)) == 0.0
+        assert g0.waiting_area_for((600.0, 480.0)) is None
+
+
+class TestCachedAttributes:
+    @pytest.mark.parametrize("kind", list(ZoneType))
+    def test_is_observing(self, kind):
+        zk = ZoneKind(kind, "z")
+        assert zk.is_observing == (kind in (ZoneType.WAITING, ZoneType.START_CROSSING))
+        assert zk == ZoneKind(kind, "z") and hash(zk) == hash(ZoneKind(kind, "z"))
+        assert repr(zk) == f"ZoneKind(kind={kind!r}, zone_id='z', label=None)"
+
+    def test_frame_diagonal(self, geometry):
+        assert geometry.frame_diagonal == math.hypot(1280.0, 720.0)
+        assert "frame_diagonal" not in repr(geometry)

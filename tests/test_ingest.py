@@ -3,14 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from crosswise.geom import ZoneType
 from crosswise.ingest import (Detection, FrameRecord, PoseDetection, ScenarioSpec,
-                              StreamFormatError, generate_scenario, read_labels,
-                              read_stream, write_labels, write_stream)
+                              StreamFormatError, _record_from_obj, generate_scenario,
+                              read_labels, read_stream, write_labels, write_stream)
 
 
 def make_record(frame, ts, n_dets=1):
@@ -368,3 +368,251 @@ class TestGenerator:
                 assert math.cos(diff) > 0.0
                 checked += 1
         assert checked > 50
+
+
+class TestJsonNumberTypes:
+    """bbox values, conf and keypoint values must be JSON numbers: a string
+    or a bool is rejected by line, not coerced by float()."""
+
+    @pytest.mark.parametrize("bad", ["3", True, False])
+    @pytest.mark.parametrize("key", ["dets", "poses"])
+    def test_bbox_value(self, tmp_path, key, bad):
+        path = TestNonFinite.stream_with_bad_second_line(
+            tmp_path, lambda o: o[key][0]["bbox"].__setitem__(2, bad))
+        with pytest.raises(StreamFormatError, match="line 2") as exc:
+            list(read_stream(path))
+        assert exc.value.line_no == 2
+        assert "JSON numbers" in str(exc.value)
+
+    @pytest.mark.parametrize("bad", ["1234", True, 1234])
+    @pytest.mark.parametrize("key", ["dets", "poses"])
+    def test_bbox_not_a_list(self, tmp_path, key, bad):
+        path = TestNonFinite.stream_with_bad_second_line(
+            tmp_path, lambda o: o[key][0].__setitem__("bbox", bad))
+        with pytest.raises(StreamFormatError, match="line 2") as exc:
+            list(read_stream(path))
+        assert exc.value.line_no == 2
+
+    @pytest.mark.parametrize("bad", ["0.5", True, "1"])
+    def test_conf(self, tmp_path, bad):
+        path = TestNonFinite.stream_with_bad_second_line(
+            tmp_path, lambda o: o["dets"][0].__setitem__("conf", bad))
+        with pytest.raises(StreamFormatError, match="line 2") as exc:
+            list(read_stream(path))
+        assert exc.value.line_no == 2
+        assert "conf" in str(exc.value)
+
+    @pytest.mark.parametrize("bad", ["1.5", True, False])
+    @pytest.mark.parametrize("col", [0, 1, 2])
+    def test_keypoint_value(self, tmp_path, col, bad):
+        path = TestNonFinite.stream_with_bad_second_line(
+            tmp_path, lambda o: o["poses"][0]["kps"][7].__setitem__(col, bad))
+        with pytest.raises(StreamFormatError, match="line 2") as exc:
+            list(read_stream(path))
+        assert exc.value.line_no == 2
+        assert "JSON numbers" in str(exc.value)
+
+    def test_integers_read_as_floats(self, tmp_path):
+        path = tmp_path / "ints.jsonl"
+        obj = {"frame": 0, "ts_ms": 0,
+               "dets": [{"bbox": [1, 2, 30, 60], "class": "pedestrian", "conf": 1}],
+               "poses": [{"bbox": [1, 2, 30, 60], "kps": [[1, 2, 0]] * 17}]}
+        path.write_text(json.dumps(obj) + "\n")
+        (rec,) = read_stream(path)
+        det, pose = rec.detections[0], rec.crop_poses[0]
+        assert det.bbox == (1.0, 2.0, 30.0, 60.0) and type(det.bbox[0]) is float
+        assert det.conf == 1.0 and type(det.conf) is float
+        assert pose.keypoints.dtype == np.float64
+
+
+class TestStreamBounds:
+    """A stream's coordinates stay within +-1e7 px and its bbox sides at or
+    above 1e-3 px, so every feature is finite, in float32 too."""
+
+    @pytest.mark.parametrize("slot,value", [(0, 1e7), (1, -1e7), (2, 1e-3), (3, 1e7)])
+    @pytest.mark.parametrize("key", ["dets", "poses"])
+    def test_bbox_at_the_bound_accepted(self, tmp_path, key, slot, value):
+        path = TestNonFinite.stream_with_bad_second_line(
+            tmp_path, lambda o: o[key][0]["bbox"].__setitem__(slot, value))
+        assert len(list(read_stream(path))) == 2
+
+    @pytest.mark.parametrize("slot,value,msg", [
+        (0, 1.0000001e7, "within"), (1, -2e7, "within"), (2, 2e7, "within"),
+        (3, 5e-324, "positive size"), (2, 9.99e-4, "positive size"), (3, -1.0, "positive size"),
+        (0, 10 ** 400, "within"), (3, 10 ** 400, "within")])
+    @pytest.mark.parametrize("key", ["dets", "poses"])
+    def test_bbox_beyond_the_bound_rejected(self, tmp_path, key, slot, value, msg):
+        path = TestNonFinite.stream_with_bad_second_line(
+            tmp_path, lambda o: o[key][0]["bbox"].__setitem__(slot, value))
+        with pytest.raises(StreamFormatError, match="line 2") as exc:
+            list(read_stream(path))
+        assert exc.value.line_no == 2
+        assert msg in str(exc.value)
+
+    @pytest.mark.parametrize("col,value,ok", [
+        (0, 1e7, True), (1, -1e7, True), (0, 1.0000001e7, False), (1, -1e8, False),
+        (2, 1.0, True), (2, 0.0, True), (2, 1.5, False), (2, -0.1, False),
+        (0, 10 ** 400, False)])
+    def test_keypoint(self, tmp_path, col, value, ok):
+        path = TestNonFinite.stream_with_bad_second_line(
+            tmp_path, lambda o: o["poses"][0]["kps"][3].__setitem__(col, value))
+        if ok:
+            assert len(list(read_stream(path))) == 2
+            return
+        with pytest.raises(StreamFormatError, match="line 2") as exc:
+            list(read_stream(path))
+        assert exc.value.line_no == 2
+
+    @pytest.mark.parametrize("bbox,msg", [
+        ((600.0, 480.0, 30.0, 5e-324), "positive size"), ((0.0, 0.0, 9.99e-4, 1.0), "positive size"),
+        ((1.0000001e7, 0.0, 1.0, 1.0), "within"), ((0.0, 0.0, 1.0, 2e7), "within")])
+    def test_records_built_directly_hold_the_bbox_bounds(self, bbox, msg):
+        with pytest.raises(ValueError, match=msg):
+            Detection(bbox, "pedestrian", 0.5)
+        with pytest.raises(ValueError, match=msg):
+            PoseDetection(bbox, np.full((17, 3), 0.5))
+
+    def test_keypoints_built_directly_may_exceed_the_stream_bound(self):
+        kps = np.full((17, 3), 0.5)
+        kps[3, 0] = 2e7
+        assert PoseDetection((0.0, 0.0, 10.0, 10.0), kps).keypoints[3, 0] == 2e7
+
+
+# --- the frame-level check against the per-object constructors ---------------
+
+LIMIT = 1e7
+# values at and past every bound, and the types float() would coerce
+edge_value = st.sampled_from([
+    0.0, -0.0, 1e-3, 9.99e-4, 5e-324, 1e7, -1e7, 1.0000001e7, -2e7, 1e300, 1.0, 1, 0, 2,
+    math.nan, math.inf, -math.inf, 10 ** 400, -(10 ** 400), True, False, "1.5", "3", None])
+
+
+def mostly(good):
+    """good seven times in eight, else an edge value."""
+    return st.one_of(*[good] * 7, edge_value)
+
+
+coord = st.one_of(st.floats(-2e3, 2e3), st.integers(-2000, 2000))
+side = st.one_of(st.floats(1e-3, 1e3), st.integers(1, 1000))
+unit = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1]))
+
+
+@st.composite
+def bbox_value(draw):
+    bbox = [draw(mostly(coord)), draw(mostly(coord)), draw(mostly(side)), draw(mostly(side))]
+    shape = draw(st.sampled_from(("ok",) * 16 + ("short", "long", "string")))
+    if shape == "short":
+        return bbox[:3]
+    if shape == "long":
+        return bbox + [1.0]
+    return "1234" if shape == "string" else bbox
+
+
+@st.composite
+def keypoints_value(draw):
+    kps = [[draw(coord), draw(coord), draw(unit)] for _ in range(17)]
+    edit = draw(st.sampled_from(("none",) * 3 + ("value",) * 3 + ("rows", "row", "shift")))
+    if edit == "value":
+        kps[draw(st.integers(0, 16))][draw(st.integers(0, 2))] = draw(edge_value)
+    elif edit == "rows":
+        kps = kps[:16] if draw(st.booleans()) else kps + [[1.0, 2.0, 0.5]]
+    elif edit == "row":
+        row = kps[draw(st.integers(0, 16))]
+        row.append(0.5) if draw(st.booleans()) else row.pop()
+    elif edit == "shift":  # 51 values in all, but one row of 2 and one of 4
+        kps[draw(st.integers(0, 7))].append(kps[draw(st.integers(8, 16))].pop())
+    return kps
+
+
+det_obj = st.fixed_dictionaries({
+    "bbox": bbox_value(), "conf": mostly(unit),
+    "class": st.sampled_from(["pedestrian", "cyclist", "e_wheelchair", "pedestrian",
+                              "unicyclist", True])})
+pose_obj = st.fixed_dictionaries({"bbox": bbox_value(), "kps": keypoints_value()})
+frame_obj = st.fixed_dictionaries({
+    "frame": st.just(3), "ts_ms": st.just(150),
+    "dets": st.lists(det_obj, max_size=3), "poses": st.lists(pose_obj, max_size=3)})
+
+
+def constructors_on_float_values(obj):
+    """The record the per-object constructors build from float()-converted
+    values (the reading the frame-level check replaced), or None."""
+    try:
+        dets = tuple(Detection(tuple(float(v) for v in d["bbox"]), d["class"], float(d["conf"]))
+                     for d in obj["dets"])
+        poses = tuple(PoseDetection(tuple(float(v) for v in p["bbox"]),
+                                    np.asarray(p["kps"], dtype=float))
+                      for p in obj["poses"])
+        return FrameRecord(obj["frame"], obj["ts_ms"], dets, poses)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def json_numbers_in_bounds(obj):
+    """JSON number types throughout, and stream keypoints within the bound
+    (the constructors hold bboxes to the bounds themselves)."""
+    def number(v):
+        return type(v) in (int, float)
+
+    def bbox_ok(b):
+        return type(b) is list and all(map(number, b))
+
+    return (all(bbox_ok(d["bbox"]) and number(d["conf"]) for d in obj["dets"])
+            and all(bbox_ok(p["bbox"]) and all(number(v) for row in p["kps"] for v in row)
+                    and all(-LIMIT <= row[0] <= LIMIT and -LIMIT <= row[1] <= LIMIT
+                            for row in p["kps"])
+                    for p in obj["poses"]))
+
+
+class TestFrameCheckMatchesConstructors:
+    """The one check per frame accepts exactly what Detection, PoseDetection
+    and FrameRecord accept, minus coerced types and keypoints beyond the
+    stream bound, and builds the same records."""
+
+    @settings(max_examples=300)
+    @given(frame_obj)
+    def test_frames(self, obj):
+        self.check(obj)
+
+    @settings(max_examples=300)
+    @given(st.lists(det_obj, min_size=1, max_size=2))
+    def test_detections(self, dets):
+        self.check({"frame": 3, "ts_ms": 150, "dets": dets})
+
+    @settings(max_examples=300)
+    @given(st.lists(pose_obj, min_size=1, max_size=2))
+    def test_poses(self, poses):
+        self.check({"frame": 3, "ts_ms": 150, "poses": poses})
+
+    @pytest.mark.parametrize("donor,taker", [(16, 0), (3, 4), (0, 16)])
+    def test_ragged_rows_with_the_full_count(self, donor, taker):
+        kps = [[1.0, 2.0, 0.5] for _ in range(17)]
+        kps[taker].append(kps[donor].pop())  # 51 values, rows of 2 and of 4
+        obj = {"frame": 3, "ts_ms": 150, "poses": [{"bbox": [1.0, 2.0, 3.0, 4.0], "kps": kps}]}
+        self.check(obj)
+        with pytest.raises(StreamFormatError, match="17 keypoints"):
+            _record_from_obj(obj, 9)
+
+    @staticmethod
+    def check(obj):
+        obj = {"dets": [], "poses": [], **obj}
+        want = constructors_on_float_values(obj)
+        if want is not None and not json_numbers_in_bounds(obj):
+            want = None
+        try:
+            got = _record_from_obj(obj, 9)
+        except StreamFormatError as exc:
+            assert exc.line_no == 9
+            assert want is None
+            return
+        assert want is not None
+        assert got.frame_idx == want.frame_idx and got.ts_ms == want.ts_ms
+        assert got.detections == want.detections
+        for d in got.detections:
+            assert all(type(v) is float for v in (*d.bbox, d.conf))
+        assert len(got.crop_poses) == len(want.crop_poses)
+        for a, b in zip(got.crop_poses, want.crop_poses):
+            assert np.array(a.bbox).tobytes() == np.array(b.bbox).tobytes()
+            assert a.keypoints.dtype == b.keypoints.dtype
+            assert a.keypoints.shape == b.keypoints.shape
+            assert a.keypoints.tobytes() == b.keypoints.tobytes()

@@ -1,12 +1,17 @@
 import json
+import math
 import socket
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosswise import pipeline as pipeline_mod
-from crosswise.ingest import (Detection, FrameRecord, ScenarioSpec,
-                              generate_scenario)
+from crosswise.geom import demo_geometry
+from crosswise.ingest import (COORD_LIMIT, MIN_BBOX_SIDE, Detection, FrameRecord,
+                              ScenarioSpec, _record_from_obj, generate_scenario)
 from crosswise.model import forward, forward_batch
 from crosswise.pipeline import (ALERT_SCHEMA, I2VAlert, Pipeline, TrackState,
                                 UdpAlertSink, bench, run)
@@ -257,6 +262,24 @@ class TestRun:
         assert summary["alerts"] == 0
         assert out.read_text() == ""
 
+    def test_step_time_summary_from_running_values(self, geometry, small_model,
+                                                   small_scenario, monkeypatch):
+        # a clock whose steps take 3, 1 and 2 ms: t0, then (start, end) per frame
+        ticks = iter([0.0, 0.0, 0.003, 0.0, 0.001, 0.0, 0.002, 0.0])
+        now = [0.0]
+
+        def clock():
+            now[0] += next(ticks)
+            return now[0]
+
+        monkeypatch.setattr(pipeline_mod.time, "perf_counter", clock)
+        summary = run(small_scenario[0][:3], geometry, small_model)
+        assert set(summary) == {"frames", "tracks_created", "predictions", "alerts",
+                                "mean_step_ms", "max_step_ms", "wall_s", "fps"}
+        assert summary["frames"] == 3
+        assert summary["mean_step_ms"] == pytest.approx(2.0)
+        assert summary["max_step_ms"] == pytest.approx(3.0)
+
     def test_prediction_file_schema(self, geometry, small_model, tmp_path,
                                     small_scenario):
         records, _ = small_scenario
@@ -330,3 +353,91 @@ class TestBench:
         assert list(by_batch) == ["1", "2", "4", "8"]
         assert all(ms > 0 for ms in by_batch.values())
         json.dumps(report)  # the CLI writes the report as JSON
+
+
+# --- finite but hostile input ---------------------------------------------------
+
+
+def _magnitude(rng, lo, hi):
+    return float(10.0 ** rng.uniform(lo, hi))
+
+
+# the magnitudes the stream bounds admit: sides from MIN_BBOX_SIDE, and
+# coordinates from 1e-300, up to COORD_LIMIT
+TOP = math.log10(COORD_LIMIT)
+FLOOR = math.log10(MIN_BBOX_SIDE)
+
+
+def _signed(rng, lo=-300.0, hi=TOP):
+    return float(rng.choice((-1.0, 1.0))) * _magnitude(rng, lo, hi)
+
+
+def _keypoints(rng):
+    return [[_signed(rng), _signed(rng), float(rng.uniform(0.0, 1.0))] for _ in range(17)]
+
+
+def hostile_stream(geometry, seed, n_tracks, n_frames=61):
+    """JSON records within the stream bounds: tracks that stand in the waiting
+    area with boxes of any side the bounds admit (1e-3 to 1e7 px) and
+    keypoints of any magnitude from 1e-300 px up, plus boxes and poses
+    anywhere."""
+    rng = np.random.default_rng(seed)
+    cx0, cy0, _, _ = geometry.crop_rect
+    tracks = []
+    for _ in range(n_tracks):
+        cx, cy = rng.uniform(525.0, 675.0), rng.uniform(425.0, 555.0)
+        w, h = _magnitude(rng, FLOOR, TOP), _magnitude(rng, FLOOR, TOP)
+        tracks.append((cx - w / 2.0, cy - h / 2.0, w, h, _keypoints(rng)))
+    for f in range(n_frames):
+        dets, poses = [], []
+        for x, y, w, h, kps in tracks:
+            dets.append({"bbox": [x, y, w, h], "class": "pedestrian", "conf": 0.9})
+            if rng.random() < 0.8:
+                poses.append({"bbox": [x - cx0, y - cy0, w, h], "kps": kps})
+        for _ in range(int(rng.integers(0, 3))):
+            box = [_signed(rng), _signed(rng), _magnitude(rng, FLOOR, TOP),
+                   _magnitude(rng, FLOOR, TOP)]
+            dets.append({"bbox": box, "class": "cyclist", "conf": 0.5})
+            poses.append({"bbox": box, "kps": _keypoints(rng)})
+        yield {"frame": f, "ts_ms": f * 50, "dets": dets, "poses": poses}
+
+
+GEOMETRY = demo_geometry()
+# the edge of the camera scale the float32 guarantee assumes (README, stream
+# format): 1 px frame sides, px_per_meter 1e-3, fps 1000
+EDGE_GEOMETRY = replace(demo_geometry(fps=1000, px_per_meter=1e-3), frame_size=(1.0, 1.0))
+
+
+class TestHostileButInBoundInput:
+    """Within the stream bounds, no finite input aborts a frame, and every
+    window the pipeline emits is finite when cast to float32."""
+
+    @pytest.mark.parametrize("geometry", [GEOMETRY, EDGE_GEOMETRY], ids=["demo", "edge"])
+    @settings(max_examples=40)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+    def test_step_never_raises(self, geometry, seed, n_tracks):
+        pipe = Pipeline(geometry, params=None)
+        windows = 0
+        for line_no, obj in enumerate(hostile_stream(geometry, seed, n_tracks), start=1):
+            out = pipe.step(_record_from_obj(obj, line_no))
+            for w in out.windows:
+                assert np.isfinite(w.matrix.astype(np.float32)).all()
+            windows += len(out.windows)
+        assert windows >= 2 * n_tracks  # every standing track reached frames 50 and 60
+
+    def test_tiny_box_with_a_normal_pose(self):
+        # a bbox height at the 1e-3 px floor: the shoulder ratio stays finite
+        pipe = Pipeline(GEOMETRY, params=None)
+        cx0, cy0, _, _ = GEOMETRY.crop_rect
+        kps = [[100.0, 90.0, 0.9]] * 5 + [[90.0, 100.0, 0.9], [110.0, 100.0, 0.9]]
+        kps += [[100.0, 100.0, 0.9]] * 10
+        windows = []
+        for f in range(51):
+            obj = {"frame": f, "ts_ms": f * 50,
+                   "dets": [{"bbox": [600.0, 480.0, 30.0, 1e-3], "class": "pedestrian",
+                             "conf": 0.9}],
+                   "poses": [{"bbox": [600.0 - cx0, 480.0 - cy0, 30.0, 1e-3], "kps": kps}]}
+            windows += pipe.step(_record_from_obj(obj, f + 1)).windows
+        assert len(windows) == 1
+        assert windows[0].matrix[-1, 15] == pytest.approx(20.0 / 1e-3)
+        assert np.isfinite(windows[0].matrix.astype(np.float32)).all()
