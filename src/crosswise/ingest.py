@@ -27,13 +27,11 @@ CONDITIONS = ("day", "night", "rain")
 N_KEYPOINTS = 17
 KP_NOSE, KP_LEFT_SHOULDER, KP_RIGHT_SHOULDER = 0, 5, 6
 
-# Bounds of a record (px). Every bbox holds them, read from a stream or built
-# in code; stream keypoints hold COORD_LIMIT too, while keypoints built in code
-# may take any finite value. Within the bounds every feature is finite, in
+# Bounds of a record (px). Every bbox and keypoint holds them, read from a
+# stream or built in code. Within the bounds every feature is finite, in
 # float32 too, for a geometry of camera scale (see README, stream format).
 COORD_LIMIT = 1e7      # |x| and |y| of a bbox or keypoint; bbox w and h
 MIN_BBOX_SIDE = 1e-3   # bbox w and h
-_FLOAT_MAX = float(np.finfo(float).max)
 _JSON_NUMBER = frozenset((int, float))  # what json.loads gives for a number; not bool
 
 
@@ -62,12 +60,13 @@ def _check_bbox(bbox, what: str) -> None:
         raise ValueError(f"{what} bbox values must be within +-{COORD_LIMIT:g}: {bbox!r}")
 
 
-def _check_keypoints(kps: np.ndarray, xy_limit: float) -> None:
-    """Raise ValueError unless every keypoint x, y lies within +-xy_limit and
-    every confidence within [0, 1]."""
+def _check_keypoints(kps: np.ndarray) -> None:
+    """Raise ValueError unless every keypoint x, y lies within +-COORD_LIMIT
+    and every confidence within [0, 1]."""
     # one pass: NaN fails every comparison, and +-inf falls outside the bounds
-    if not ((kps >= (-xy_limit, -xy_limit, 0.0)) & (kps <= (xy_limit, xy_limit, 1.0))).all():
-        raise ValueError(f"keypoint x, y must be finite within +-{xy_limit:g} "
+    if not ((kps >= (-COORD_LIMIT, -COORD_LIMIT, 0.0))
+            & (kps <= (COORD_LIMIT, COORD_LIMIT, 1.0))).all():
+        raise ValueError(f"keypoint x, y must be finite within +-{COORD_LIMIT:g} "
                          "and confidences in [0,1]")
 
 
@@ -102,7 +101,7 @@ class PoseDetection:
         kps = np.asarray(self.keypoints, dtype=float)
         if kps.shape != (N_KEYPOINTS, 3):
             raise ValueError(f"expected {N_KEYPOINTS} keypoints, got shape {kps.shape}")
-        _check_keypoints(kps, _FLOAT_MAX)
+        _check_keypoints(kps)
         object.__setattr__(self, "keypoints", kps)
 
     @property
@@ -216,7 +215,7 @@ def _stream_poses(items: list) -> tuple[PoseDetection, ...]:
             or len(values) != 3 * len(rows) or max(map(len, rows)) != 3):
         raise ValueError(f"expected {N_KEYPOINTS} keypoints of (x, y, conf) per pose")
     kps = np.array(values, dtype=float).reshape(len(items), N_KEYPOINTS, 3)
-    _check_keypoints(kps, COORD_LIMIT)
+    _check_keypoints(kps)
     return tuple(map(_trusted_pose, bboxes, kps))
 
 

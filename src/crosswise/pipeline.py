@@ -4,7 +4,8 @@ inference, alert emission, and the throughput benchmark.
 Prediction cadence is tied to the 10-frame feature step, never per frame.
 A track's life cycle is Idle -> Observing -> Predicted -> Crossing -> Done,
 with Observing/Predicted re-entered as new windows arrive and any state
-collapsing to Done on retirement.
+collapsing to Done on retirement. A track's pipeline state lives from its
+creation to its retirement, so it scales with the live tracks.
 """
 
 from __future__ import annotations
@@ -76,9 +77,6 @@ class _TrackCtx:
     assembler: Optional[WindowAssembler] = None
     latest_prediction: Optional[Prediction] = None
     alerted_labels: set[str] = field(default_factory=set)
-    crossing_entry_ts: Optional[int] = None
-    crossing_entry_frame: Optional[int] = None
-    windows_stopped: bool = False
 
 
 @dataclass
@@ -87,7 +85,9 @@ class StepOutput:
     id order, and each track's own state changes keep their order. Within a
     frame, a PREDICTED change follows the other tracks' observation and
     crossing changes: all windows of the frame are scored by one forward after
-    every live track has been walked."""
+    every live track has been walked. Crossing entry is the frame and
+    ``ts_ms`` of the step whose state_changes hold ``(tid, old, CROSSING)``;
+    a track's last change is ``(tid, old, DONE)``, on its retirement."""
 
     frame_idx: int
     windows: list[FeatureWindow] = field(default_factory=list)
@@ -99,16 +99,15 @@ class StepOutput:
 class Pipeline:
     """Per-frame driver. With params=None it still tracks and emits windows,
     which is how training datasets are built; with params it also predicts
-    and raises alerts."""
+    and raises alerts. ``ctx`` holds the state of the live tracks only: an
+    entry is made with its track and dropped when the track retires."""
 
     def __init__(self, geometry: IntersectionGeometry,
-                 params: Optional[ModelParams] = None,
-                 alert_margin: float = ALERT_MARGIN):
+                 params: Optional[ModelParams] = None):
         if geometry is None:
             raise ValueError("pipeline needs an intersection geometry")
         self.geometry = geometry
         self.params = params
-        self.alert_margin = alert_margin
         self.table = TrackTable(geometry)
         self.ctx: dict[int, _TrackCtx] = {}
         self.last_frame = -1
@@ -156,15 +155,14 @@ class Pipeline:
             if self.table.tracks[tid].zone.kind == ZoneType.CROSSING:
                 self.pose_merges_while_crossing += 1  # must never happen
 
+        # a ctx is made with its track and leaves with it; none is DONE before
         for tid in events.retired:
-            ctx = self.ctx.get(tid)
-            if ctx is not None and ctx.state != TrackState.DONE:
-                self._set_state(tid, ctx, TrackState.DONE, out)
+            self._set_state(tid, self.ctx.pop(tid), TrackState.DONE, out)
 
         seen = set(events.updated)
         seen.update(events.created)
         # pass 1, per live track in id order (the track table iterates in id
-        # order; every live track has a ctx, and none of those is DONE):
+        # order; ctx holds exactly the live tracks, none of them DONE):
         # transitions, segment flush, feature append; windows are collected
         # here and scored together below
         todo: list[tuple[int, _TrackCtx, Optional[FeatureWindow], bool]] = []
@@ -178,33 +176,31 @@ class Pipeline:
             if is_seen:
                 if zone.kind is ZoneType.CROSSING and ctx.state in _WINDOWING:
                     self._set_state(tid, ctx, TrackState.CROSSING, out)
-                    ctx.windows_stopped = True
                     ctx.frame_buffer = []
-                    ctx.crossing_entry_ts = rec.ts_ms
-                    ctx.crossing_entry_frame = rec.frame_idx
                 elif zone.is_observing and ctx.state == TrackState.IDLE:
                     self._set_state(tid, ctx, TrackState.OBSERVING, out)
                     ctx.birth_frame = rec.frame_idx
                     ctx.assembler = WindowAssembler(tid)
 
+            # CROSSING never returns to a windowing state, and the move to
+            # OBSERVING set birth_frame and assembler
             if ctx.state not in _WINDOWING:
                 continue
 
             # segment boundaries run on the stream clock, observed or not, so
             # detector dropout cannot merge adjacent segments
             window = None
-            if not ctx.windows_stopped and ctx.birth_frame is not None:
-                age = rec.frame_idx - ctx.birth_frame
-                if age > 0 and age % SEGMENT_FRAMES == 0:
-                    if ctx.frame_buffer:
-                        step_vec = temporal_filter(ctx.frame_buffer)
-                        ctx.frame_buffer = []
-                        window = ctx.assembler.push(step_vec, rec.frame_idx)
-                        if window is not None:
-                            out.windows.append(window)
-                    # an all-dropout segment yields no step and is skipped
+            age = rec.frame_idx - ctx.birth_frame
+            if age > 0 and age % SEGMENT_FRAMES == 0:
+                if ctx.frame_buffer:
+                    step_vec = temporal_filter(ctx.frame_buffer)
+                    ctx.frame_buffer = []
+                    window = ctx.assembler.push(step_vec, rec.frame_idx)
+                    if window is not None:
+                        out.windows.append(window)
+                # an all-dropout segment yields no step and is skipped
 
-            if is_seen and zone.is_observing and not ctx.windows_stopped:
+            if is_seen and zone.is_observing:
                 ctx.frame_buffer.append(step_features(
                     track.center, zone, track.history, track.pose_latest,
                     track.bbox[3], self.geometry))
@@ -227,7 +223,7 @@ class Pipeline:
                 ctx.latest_prediction = pred
                 out.predictions.append(pred)
                 self._set_state(tid, ctx, TrackState.PREDICTED, out)
-                if abs(pred.p_b - 0.5) >= self.alert_margin:
+                if abs(pred.p_b - 0.5) >= ALERT_MARGIN:
                     self._alert(tid, ctx, pred.label, pred.p_b, rec, out)
 
             # start-crossing fast path: presence there implies crossing intent

@@ -17,7 +17,7 @@ from crosswise.ingest import SAMPLE_EVERY, ScenarioSpec, generate_scenario
 from crosswise.model import (ModelConfig, backward_batch, bce_loss, forward_batch,
                              init_params, load_params, params_to_json_bytes)
 from crosswise.optim import PlateauScheduler
-from crosswise.pipeline import Pipeline, bench, run
+from crosswise.pipeline import Pipeline, TrackState, bench, run
 from tests.test_model import gru_cell_reference, mha_reference, random_attention, \
     random_gru_layer
 
@@ -211,8 +211,12 @@ def test_09_pipeline_behavior(geometry, noisy_model_result):
     track_samples = {}
     track_alerts = {}
     track_preds = {}
+    crossing_entry_ts = {}
     for rec in records:
         out = pipe.step(rec)
+        for tid, _, new in out.state_changes:
+            if new is TrackState.CROSSING:
+                crossing_entry_ts[tid] = rec.ts_ms
         for alert in out.alerts:
             track_alerts.setdefault(alert.track_id, []).append(alert)
         for pred in out.predictions:
@@ -229,15 +233,15 @@ def test_09_pipeline_behavior(geometry, noisy_model_result):
     n_positive_lead = 0
     for tid, pred in track_preds.items():
         truth = assignment.get(tid)
-        ctx = pipe.ctx.get(tid)
-        if truth is None or ctx is None or ctx.crossing_entry_ts is None:
+        entry_ts = crossing_entry_ts.get(tid)
+        if truth is None or entry_ts is None:
             continue
         if pred.label != truth.label:
             continue
         n_correct += 1
         matching = [a.ts_ms for a in track_alerts.get(tid, [])
                     if a.crosswalk == truth.label]
-        if matching and min(matching) < ctx.crossing_entry_ts:
+        if matching and min(matching) < entry_ts:
             n_positive_lead += 1
     assert n_correct >= 100
     fraction = n_positive_lead / n_correct

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crosswise.features import (FEATURE_DIM, FEATURE_GROUPS, KP_CONF_GATE,
-                                WindowAssembler, geometric_features, mask_for_groups,
-                                motion_features, pose_features, step_features,
-                                temporal_filter)
+from crosswise.features import (ANGLE_PAIRS, FEATURE_DIM, FEATURE_GROUPS, KP_CONF_GATE,
+                                ONEHOT_SLOTS, SEGMENT_FRAMES, WindowAssembler,
+                                geometric_features, mask_for_groups, motion_features,
+                                pose_features, step_features, temporal_filter)
 from crosswise.geom import (IntersectionGeometry, Zone, ZoneKind, ZoneType, demo_geometry,
                             point_in_polygon, polygon_area)
-from crosswise.ingest import PoseDetection
+from crosswise.ingest import PoseDetection, _trusted_pose
 
 
 def hist(points):
@@ -190,6 +190,46 @@ class TestTemporalFilter:
     def test_empty_errors(self):
         with pytest.raises(ValueError):
             temporal_filter([])
+
+
+# a zone code per frame: 0 outside (all-zero one-hot), 1-3 the ONEHOT_SLOTS
+# in crossing order; opposed angles (0 and pi) make resultants cancel
+angle = st.one_of(st.sampled_from([0.0, math.pi, math.pi / 2, -math.pi / 2]),
+                  st.floats(-math.pi, math.pi))
+step_frame = st.tuples(st.lists(st.floats(-1e3, 1e3), min_size=FEATURE_DIM,
+                                max_size=FEATURE_DIM),
+                       st.lists(st.one_of(angle, st.none()), min_size=3, max_size=3),
+                       st.integers(0, 3))
+
+
+def frame_vector(values, angles, zone):
+    """A step_features-like row: angle pairs are unit vectors or, with no
+    pose, (0, 0), and at most one one-hot slot is set."""
+    v = list(values)
+    for (si, ci), ang in zip(ANGLE_PAIRS, angles):
+        v[si], v[ci] = (0.0, 0.0) if ang is None else (math.sin(ang), math.cos(ang))
+    for slot in ONEHOT_SLOTS:
+        v[slot] = 0.0
+    if zone:
+        v[ONEHOT_SLOTS[zone - 1]] = 1.0
+    return tuple(v)
+
+
+class TestTemporalFilterProperties:
+    @settings(max_examples=300)
+    @given(st.lists(step_frame, min_size=1, max_size=SEGMENT_FRAMES))
+    def test_unit_angle_pairs_and_mode_one_hot(self, drawn):
+        out = temporal_filter([frame_vector(*f) for f in drawn])
+        for si, ci in ANGLE_PAIRS:
+            pair = (out[si], out[ci])
+            assert pair == (0.0, 0.0) or math.hypot(*pair) == pytest.approx(1.0, abs=1e-12)
+        counts = [0] * 4
+        for _, _, zone in drawn:
+            counts[zone] += 1
+        top = max(counts)
+        mode = max(z for z in range(4) if counts[z] == top)  # ties: the later zone
+        want = [1.0 if mode == k + 1 else 0.0 for k in range(len(ONEHOT_SLOTS))]
+        assert [out[slot] for slot in ONEHOT_SLOTS] == want
 
 
 class TestWindowAssembler:
@@ -393,7 +433,9 @@ class TestStepFeaturesMatchLegacyArray:
     def test_non_finite_slot_still_raises(self, geometry):
         kps = np.full((17, 3), 0.9)
         kps[5, 0], kps[6, 0] = -1e308, 1e308  # the shoulder distance overflows
-        pose = PoseDetection((0.0, 0.0, 40.0, 80.0), kps)
+        # built past PoseDetection's check, which refuses keypoints beyond
+        # COORD_LIMIT: step_features' own guard is under test
+        pose = _trusted_pose((0.0, 0.0, 40.0, 80.0), kps)
         args = ((600.0, 480.0), geometry.classify_point((600.0, 480.0)),
                 hist([(0, (600.0, 480.0))]), pose, 80.0, geometry)
         with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore",

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from crosswise import pipeline as pipeline_mod
 from crosswise.geom import demo_geometry
 from crosswise.ingest import (COORD_LIMIT, MIN_BBOX_SIDE, Detection, FrameRecord,
-                              ScenarioSpec, _record_from_obj, generate_scenario)
+                              PoseDetection, ScenarioSpec, _record_from_obj,
+                              generate_scenario)
 from crosswise.model import forward, forward_batch
 from crosswise.pipeline import (ALERT_SCHEMA, I2VAlert, Pipeline, TrackState,
                                 UdpAlertSink, bench, run)
@@ -83,8 +84,11 @@ class TestCrossingMonitoring:
         pipe = Pipeline(geometry, params=None)
         pose_after_entry = None
         entry = truths[0].crossing_entry_frame
+        crossing_frames = []
         for rec in records:
-            pipe.step(rec)
+            out = pipe.step(rec)
+            crossing_frames.extend(rec.frame_idx for _, _, new in out.state_changes
+                                   if new is TrackState.CROSSING)
             track = next(iter(pipe.table.tracks.values()), None)
             if track is None or track.pose_latest is None:
                 continue
@@ -93,9 +97,9 @@ class TestCrossingMonitoring:
             if rec.frame_idx > entry:
                 assert track.pose_latest is pose_after_entry
         assert pipe.pose_merges_while_crossing == 0
-        ctx = next(iter(pipe.ctx.values()))
+        (ctx,) = pipe.ctx.values()  # the track is still live
         assert ctx.state == TrackState.CROSSING
-        assert ctx.crossing_entry_frame == entry
+        assert crossing_frames == [entry]
 
     def test_state_progression(self, geometry):
         spec = ScenarioSpec(n_vrus=1, label="B", seed=22)
@@ -114,16 +118,43 @@ class TestCrossingMonitoring:
         records, _ = generate_scenario(spec, geometry)
         pipe = Pipeline(geometry, params=None)
         alerted = set()
+        created = set()
+        done = []
         for rec in records:
-            alerted.update(a.track_id for a in pipe.step(rec).alerts)
+            out = pipe.step(rec)
+            alerted.update(a.track_id for a in out.alerts)
+            created.update(pipe.ctx.keys())
+            done.extend(tid for tid, _, new in out.state_changes if new is TrackState.DONE)
         assert alerted
         # drain: feeding empty frames retires every remaining track
         last = records[-1].frame_idx
         for k in range(1, 2 * geometry.fps + 2):
-            pipe.step(FrameRecord(last + k, records[-1].ts_ms + 50 * k, (), ()))
-        for tid in alerted:
-            assert pipe.ctx[tid].state == TrackState.DONE
-        assert {c.state for c in pipe.ctx.values()} == {TrackState.DONE}
+            out = pipe.step(FrameRecord(last + k, records[-1].ts_ms + 50 * k, (), ()))
+            done.extend(tid for tid, _, new in out.state_changes if new is TrackState.DONE)
+        # every track, alerted ones included, ends DONE exactly once, and its
+        # state leaves with it
+        assert len(done) == len(set(done))
+        assert alerted <= set(done)
+        assert set(done) == created and len(created) == pipe.tracks_created
+        assert pipe.ctx == {}
+
+    def test_soak_state_follows_the_live_tracks(self, geometry):
+        # 1000 VRUs (about 39k frames), then empty frames until every track
+        # has retired: the pipeline holds state for the live tracks only
+        spec = ScenarioSpec(n_vrus=1000, noise_sigma=2.0, dropout=0.05, seed=77)
+        records, _ = generate_scenario(spec, geometry)
+        last = records[-1]
+        drain = [FrameRecord(last.frame_idx + k, last.ts_ms + 50 * k, (), ())
+                 for k in range(1, 2 * geometry.fps + 2)]
+        pipe = Pipeline(geometry, params=None)
+        done = []
+        for rec in records + drain:
+            out = pipe.step(rec)
+            assert pipe.ctx.keys() == pipe.table.tracks.keys()
+            done.extend(tid for tid, _, new in out.state_changes if new is TrackState.DONE)
+        assert pipe.tracks_created > 900
+        assert sorted(done) == list(range(1, pipe.tracks_created + 1))
+        assert pipe.ctx == {}
 
     def test_geometry_required(self):
         with pytest.raises(ValueError, match="geometry"):
@@ -441,3 +472,23 @@ class TestHostileButInBoundInput:
         assert len(windows) == 1
         assert windows[0].matrix[-1, 15] == pytest.approx(20.0 / 1e-3)
         assert np.isfinite(windows[0].matrix.astype(np.float32)).all()
+
+    def test_pose_built_in_code_holds_the_keypoint_bound(self):
+        # shoulders at x = -1.8e308 and +1.8e308 would overflow the shoulder
+        # distance and abort the step ("non-finite feature vector"), so such a
+        # pose is refused when built; shoulders at the bound keep every step
+        # feature finite
+        cx0, cy0, _, _ = GEOMETRY.crop_rect
+        det = Detection((600.0, 480.0, 30.0, 60.0), "pedestrian", 0.9)
+        kps = np.tile([615.0 - cx0, 510.0 - cy0, 0.9], (17, 1))
+        kps[5, 0], kps[6, 0] = -1.8e308, 1.8e308
+        with pytest.raises(ValueError, match="within"):
+            PoseDetection((600.0 - cx0, 480.0 - cy0, 30.0, 60.0), kps)
+        kps[5, 0], kps[6, 0] = -COORD_LIMIT, COORD_LIMIT
+        pose = PoseDetection((600.0 - cx0, 480.0 - cy0, 30.0, 60.0), kps)
+        pipe = Pipeline(GEOMETRY, params=None)
+        for f in range(3):
+            pipe.step(FrameRecord(f, f * 50, (det,), (pose,)))
+        (ctx,) = pipe.ctx.values()
+        assert len(ctx.frame_buffer) == 3
+        assert np.isfinite(np.array(ctx.frame_buffer, dtype=np.float32)).all()

@@ -271,6 +271,26 @@ class TestAssociateMatchesBruteForce:
                 assert list(track.history) == list(ref.tracks[tid].history)
                 assert track.zone == ref.tracks[tid].zone
 
+    @given(box_frames())
+    def test_ids_unique_increasing_and_each_detection_taken_once(self, geometry, frames):
+        table = TrackTable(geometry)
+        last_id = 0
+        for frame_idx, boxes in frames:
+            dets = [Detection(b, "pedestrian", 0.9) for b in boxes]
+            events = table.associate(dets, frame_idx)
+            assert events.created == sorted(set(events.created))
+            assert all(tid > last_id for tid in events.created)
+            last_id = max(events.created, default=last_id)
+            ids = list(table.tracks)
+            assert ids == sorted(set(ids))
+            assert not set(events.retired) & set(ids)
+            # each detection went to exactly one updated or created track
+            taken = events.updated + events.created
+            assert len(taken) == len(set(taken))
+            assert sorted(
+                next(di for di, d in enumerate(dets) if d.bbox is table.tracks[tid].bbox)
+                for tid in taken) == list(range(len(dets)))
+
     def test_edge_touching_box_is_not_a_match(self, geometry):
         table = TrackTable(geometry)
         table.associate([det(585, 450)], 0)
