@@ -29,6 +29,13 @@ class ZoneType(Enum):
     CROSSING = "crossing"
 
 
+# The camera scale a geometry must have. Within it, every frame the stream
+# bounds accept gives finite features, also in float32 (README, stream format).
+MIN_FRAME_SIDE = 1.0      # px
+MIN_PX_PER_METER = 1e-3
+MAX_FPS = 1000
+
+
 # Resolution order when zones overlap: a VRU on a crosswalk is crossing
 # no matter what else contains the point.
 ZONE_PRIORITY = {
@@ -163,10 +170,11 @@ class IntersectionGeometry:
     frame_diagonal: float = field(init=False, repr=False, compare=False)  # of frame_size
 
     def __post_init__(self):
-        if self.fps <= 0:
-            raise GeometryError(f"fps must be positive, got {self.fps}")
-        if self.px_per_meter is not None and self.px_per_meter <= 0:
-            raise GeometryError("px_per_meter must be positive when set")
+        if not 0 < self.fps <= MAX_FPS:
+            raise GeometryError(f"fps must be in (0, {MAX_FPS}], got {self.fps}")
+        if self.px_per_meter is not None and not self.px_per_meter >= MIN_PX_PER_METER:
+            raise GeometryError(f"px_per_meter must be at least {MIN_PX_PER_METER} "
+                                f"when set, got {self.px_per_meter}")
         cx, cy, cw, ch = self.crop_rect
         if cw <= 0 or ch <= 0:
             raise GeometryError("crop_rect must have positive size")
@@ -187,8 +195,9 @@ class IntersectionGeometry:
                 raise GeometryError(f"missing crosswalk entry {letter!r}")
         if self.frame_size == (0.0, 0.0):
             object.__setattr__(self, "frame_size", self._default_frame_size())
-        if not (self.frame_size[0] > 0 and self.frame_size[1] > 0):
-            raise GeometryError(f"frame_size must be positive, got {self.frame_size}")
+        if not (self.frame_size[0] >= MIN_FRAME_SIDE and self.frame_size[1] >= MIN_FRAME_SIDE):
+            raise GeometryError(f"frame_size sides must be at least {MIN_FRAME_SIDE} px, "
+                                f"got {self.frame_size}")
         object.__setattr__(self, "frame_diagonal",
                            math.hypot(self.frame_size[0], self.frame_size[1]))
         # Per-zone constants for the per-frame queries. They are not fields, so

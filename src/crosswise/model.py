@@ -211,8 +211,9 @@ def init_params(config: ModelConfig, seed: int = 0, dtype=np.float64) -> ModelPa
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    t = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    # exp(min(x, 0)) is 1 for x >= 0 and exp(-|x|) below, so this is the
+    # overflow-free where(x >= 0, 1 / (1 + t), t / (1 + t)) in fewer ops
+    return np.exp(np.minimum(x, 0)) / (1 + np.exp(-np.abs(x)))
 
 
 def softmax_last(x: np.ndarray) -> np.ndarray:
@@ -383,8 +384,9 @@ def forward_batch(x: np.ndarray, params: ModelParams, mode: str = "infer",
                   rng: Optional[np.random.Generator] = None) -> tuple[np.ndarray, dict]:
     """Probabilities of crosswalk B for a batch of windows (B, T, d_in).
 
-    Returns (p of shape (B,), cache for backward). Train mode needs a
-    Generator for the dropout masks; infer mode runs mask-free.
+    Returns (p of shape (B,), cache). Train mode needs a Generator for the
+    dropout masks and caches what ``backward_batch`` reads; infer mode runs
+    mask-free and its cache holds only ``logit``, ``p`` and ``mode``.
     """
     if params.layout_hash != LAYOUT_HASH:
         raise LayoutMismatchError(
@@ -393,13 +395,18 @@ def forward_batch(x: np.ndarray, params: ModelParams, mode: str = "infer",
     x = np.asarray(x).astype(dtype, copy=False)
     if x.ndim != 3 or x.shape[2] != params.config.d_in:
         raise ModelError(f"expected (B, T, {params.config.d_in}) input, got {x.shape}")
-    train = mode == "train"
-    if train and rng is None:
+    if mode != "train":
+        logit = _infer_logits(x, params)
+        p = sigmoid(logit)
+        if not np.all(np.isfinite(p)):
+            raise ModelError("non-finite prediction")
+        return p, {"logit": logit, "p": p, "mode": mode}
+    if rng is None:
         raise ModelError("train-mode forward needs a dropout Generator")
-    rate = params.config.dropout if train else 0.0
+    rate = params.config.dropout
 
-    h2, gru_cache, x_in = _gru_stack_forward(x, params, train, rng)
-    enc, enc_cache = _encoder_forward(h2, params.attn, rate, rng if train else None)
+    h2, gru_cache, x_in = _gru_stack_forward(x, params, True, rng)
+    enc, enc_cache = _encoder_forward(h2, params.attn, rate, rng)
 
     if params.config.pooling == "mean":
         pooled = enc.mean(axis=1)
@@ -407,7 +414,7 @@ def forward_batch(x: np.ndarray, params: ModelParams, mode: str = "infer",
         pooled = enc[:, -1, :]
     u1 = pooled @ params.head.w1 + params.head.b1
     a1 = np.maximum(u1, 0.0)
-    m_fc = _dropout_mask(rng if train else None, a1.shape, rate, x.dtype)
+    m_fc = _dropout_mask(rng, a1.shape, rate, x.dtype)
     a1d = _apply_mask(a1, m_fc)
     logit = (a1d @ params.head.w2 + params.head.b2).reshape(-1)
     p = sigmoid(logit)
@@ -417,6 +424,72 @@ def forward_batch(x: np.ndarray, params: ModelParams, mode: str = "infer",
              "pooled": pooled, "u1": u1, "a1d": a1d, "m_fc": m_fc,
              "logit": logit, "p": p, "mode": mode}
     return p, cache
+
+
+# --- inference body -------------------------------------------------------------
+# The same arithmetic as the train-mode body at dropout 0, op for op (products
+# and sums only swap operands), so the bytes match; it keeps nothing for a
+# backward pass and reuses or drops each large intermediate once read.
+
+
+def _gru_layer_infer(seq, layer: GruLayerParams) -> np.ndarray:
+    b, t_len, d = seq.shape
+    dm = layer.u_z.shape[0]
+    rows = seq.reshape(b * t_len, d)
+    xw_zr = np.empty((2, b, t_len, dm), dtype=seq.dtype)  # z and r projections
+    np.matmul(rows, layer.w_z, out=xw_zr[0].reshape(b * t_len, dm))
+    np.matmul(rows, layer.w_r, out=xw_zr[1].reshape(b * t_len, dm))
+    xw_zr[0] += layer.b_z
+    xw_zr[1] += layer.b_r
+    xw_h = _flat_gemm(seq, layer.w_h)
+    xw_h += layer.b_h
+    h = np.zeros((b, dm), dtype=seq.dtype)
+    hs = np.empty((b, t_len, dm), dtype=seq.dtype)
+    zr = np.empty((2, b, dm), dtype=seq.dtype)
+    for t in range(t_len):
+        np.matmul(h, layer.u_z, out=zr[0])
+        np.matmul(h, layer.u_r, out=zr[1])
+        zr += xw_zr[:, :, t]
+        z, r = sigmoid(zr)
+        r *= h
+        g = r @ layer.u_h
+        g += xw_h[:, t]
+        np.tanh(g, out=g)
+        g *= z
+        h = (1.0 - z) * h
+        h += g
+        hs[:, t] = h
+    return hs
+
+
+def _layer_norm_infer(x, gain, bias):
+    """``_layer_norm(x, gain, bias)[0]``, overwriting ``x``."""
+    x -= x.mean(axis=-1, keepdims=True)
+    var = (x * x).mean(axis=-1, keepdims=True)
+    x *= 1.0 / np.sqrt(var + LN_EPS)
+    x *= gain
+    x += bias
+    return x
+
+
+def _infer_logits(x, params: ModelParams) -> np.ndarray:
+    attn, head = params.attn, params.head
+    h2 = _gru_layer_infer(_gru_layer_infer(x, params.gru[0]), params.gru[1])
+    n1 = _mha_forward(h2, attn)[0]
+    n1 += h2
+    n1 = _layer_norm_infer(n1, attn.ln1_gain, attn.ln1_bias)
+    u = _flat_gemm(n1, attn.w_ff1)
+    u += attn.b_ff1
+    np.maximum(u, 0.0, out=u)
+    enc = _flat_gemm(u, attn.w_ff2)
+    enc += attn.b_ff2
+    enc += n1
+    enc = _layer_norm_infer(enc, attn.ln2_gain, attn.ln2_bias)
+    pooled = enc.mean(axis=1) if params.config.pooling == "mean" else enc[:, -1, :]
+    u1 = pooled @ head.w1
+    u1 += head.b1
+    np.maximum(u1, 0.0, out=u1)
+    return (u1 @ head.w2 + head.b2).reshape(-1)
 
 
 def forward(window: FeatureWindow, params: ModelParams, mode: str = "infer",
@@ -602,8 +675,10 @@ def load_params(path: str | Path) -> ModelParams:
         cfg = obj["config"]
         config = ModelConfig(**{f.name: cfg[f.name] for f in fields(ModelConfig)})
         dtype_name, layout_hash = cfg["dtype"], obj["layout_hash"]
-        raw = base64.b64decode(obj["flat"], validate=True)
-    except (KeyError, TypeError, ValueError) as exc:
+        # popped and encoded in one expression: the parsed string is freed
+        # before the decoded buffer is allocated
+        raw = base64.b64decode(obj.pop("flat").encode("ascii"), validate=True)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed weight file: {exc!r}") from exc
     if dtype_name not in _WEIGHT_DTYPES:
         raise ModelError(f"weight file dtype {dtype_name!r} is not one of {_WEIGHT_DTYPES}")

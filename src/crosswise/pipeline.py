@@ -32,7 +32,7 @@ log = logging.getLogger(__name__)
 
 ALERT_SCHEMA = "crosswise/1"
 ALERT_MARGIN = 0.2  # |p_B - 0.5| needed before a prediction alone raises an alert
-BENCH_BATCH_SIZES = (1, 2, 4, 8)
+BENCH_BATCH_SIZES = (1, 2, 4, 8, 64)  # 64: the training batch
 
 
 class TrackState(Enum):

@@ -1,7 +1,10 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from crosswise.evaluate import (MATCH_MAX_DIST, MATCH_MIN_SAMPLES, ConfusionCounts,
                                 TrainConfig, WindowDataset, ablation, build_dataset,
@@ -99,6 +102,23 @@ class TestWindowDataset:
         ds = toy_dataset(n_tracks=2)
         with pytest.raises(ValueError, match="empty split"):
             ds.split_by_track(seed=0)
+
+    @given(st.lists(st.integers(-5, 40), min_size=1, max_size=120), st.integers(0, 99))
+    def test_split_matches_per_window_loop(self, track_ids, seed):
+        ds = WindowDataset(np.arange(len(track_ids), dtype=float).reshape(-1, 1, 1),
+                           np.zeros(len(track_ids)), np.array(track_ids))
+        ids = np.unique(ds.track_ids)
+        np.random.default_rng(seed).shuffle(ids)
+        n_tr, n_val = int(round(0.70 * len(ids))), int(round(0.15 * len(ids)))
+        groups = (set(ids[:n_tr]), set(ids[n_tr:n_tr + n_val]), set(ids[n_tr + n_val:]))
+        want = [np.array([i for i in range(len(ds)) if ds.track_ids[i] in g], dtype=int)
+                for g in groups]
+        if min(idx.size for idx in want) == 0:
+            with pytest.raises(ValueError, match="empty split"):
+                ds.split_by_track(seed)
+            return
+        for part, idx in zip(ds.split_by_track(seed), want):
+            assert part.sha256() == ds.subset(idx).sha256()
 
     def test_masking_zeroes_slots_exactly(self):
         ds = toy_dataset()
@@ -216,6 +236,31 @@ class TestTrain:
         for (n, a), (_, b) in zip(r1.params.named_tensors(),
                                   r2.params.named_tensors()):
             np.testing.assert_array_equal(a, b)
+
+    @staticmethod
+    def traced_peak(n_tracks):
+        """Traced peak bytes of a one-epoch bench-size train() whose training
+        split holds n_tracks * 0.7 tracks of 8 windows (64 per step)."""
+        rng = np.random.default_rng(4)
+        ds = WindowDataset(rng.standard_normal((n_tracks * 8, 5, FEATURE_DIM)),
+                           np.repeat(np.arange(n_tracks) % 2, 8).astype(float),
+                           np.repeat(np.arange(n_tracks), 8))
+        tracemalloc.start()
+        try:
+            result = train(ds, TrainConfig(epochs=1, seed=0))
+            return tracemalloc.get_traced_memory()[1], result.params.flat.nbytes
+        finally:
+            tracemalloc.stop()
+
+    def test_steps_do_not_overlap_in_memory(self):
+        # 11 tracks train one full batch, 46 tracks four. With each step's
+        # cache and gradients freed before the next forward, four steps peak
+        # where one does (39.31 against 39.07 MB); keeping the previous step's
+        # gradients alive through the next backward read 43.90 MB, one
+        # gradient buffer (4.6 MB) more.
+        one_step, param_bytes = self.traced_peak(11)
+        four_steps, _ = self.traced_peak(46)
+        assert four_steps <= one_step + param_bytes / 2
 
     def test_requires_enough_tracks(self):
         ds = toy_dataset(n_tracks=2)

@@ -1,13 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crosswise.geom import (OUTSIDE, GeometryError, IntersectionGeometry, Zone, ZoneKind,
-                            ZoneType, _reject_box, demo_geometry, point_in_polygon,
-                            polygon_area)
+from crosswise.geom import (MAX_FPS, MIN_FRAME_SIDE, MIN_PX_PER_METER, OUTSIDE,
+                            GeometryError, IntersectionGeometry, Zone, ZoneKind, ZoneType,
+                            _reject_box, demo_geometry, point_in_polygon, polygon_area)
 
 UNIT_SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 
@@ -244,6 +245,28 @@ class TestGeometryValidation:
                 crossing_zones=geometry.crossing_zones,
                 crosswalk_entries=geometry.crosswalk_entries,
                 crop_rect=geometry.crop_rect, fps=20, frame_size=frame_size)
+
+    @pytest.mark.parametrize("change,match", [
+        ({"frame_size": (0.5, 720.0)}, "frame_size"),
+        ({"frame_size": (1280.0, 1e-300)}, "frame_size"),
+        ({"frame_size": (math.nan, 720.0)}, "frame_size"),
+        ({"px_per_meter": 1e-300}, "px_per_meter"),
+        ({"px_per_meter": 9.99e-4}, "px_per_meter"),
+        ({"px_per_meter": math.nan}, "px_per_meter"),
+        ({"px_per_meter": 0.0}, "px_per_meter"),
+        ({"fps": 1001}, "fps"),
+        ({"fps": 10 ** 9}, "fps"),
+        ({"fps": -20}, "fps"),
+    ])
+    def test_camera_scale_enforced(self, geometry, change, match):
+        with pytest.raises(GeometryError, match=match):
+            replace(geometry, **change)
+
+    def test_camera_scale_edge_accepted(self, geometry):
+        edge = replace(geometry, fps=MAX_FPS, px_per_meter=MIN_PX_PER_METER,
+                       frame_size=(MIN_FRAME_SIDE, MIN_FRAME_SIDE))
+        assert (edge.fps, edge.px_per_meter, edge.frame_size) == (1000, 1e-3, (1.0, 1.0))
+        assert replace(geometry, px_per_meter=None).px_per_meter is None
 
     def test_cached_zone_constants_stay_out_of_the_config(self, geometry):
         assert set(geometry.to_dict()) == {

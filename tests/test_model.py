@@ -1,12 +1,15 @@
 import base64
+import functools
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from crosswise.features import FEATURE_DIM, FeatureWindow
 from crosswise.model import (AttentionParams, GruLayerParams, LayoutMismatchError,
@@ -14,7 +17,7 @@ from crosswise.model import (AttentionParams, GruLayerParams, LayoutMismatchErro
                              backward_batch, bce_from_logits, bce_loss, forward,
                              forward_batch, gru_cell, gru_forward, init_params,
                              load_params, multi_head_attention, save_params,
-                             softmax_last)
+                             sigmoid, softmax_last)
 from crosswise.model import WEIGHT_FILE_VERSION, ModelParams
 
 
@@ -269,6 +272,97 @@ class TestForward:
         np.testing.assert_array_equal(p1, p2)
 
 
+def where_sigmoid(x):
+    """The np.where form of the logistic function that ``sigmoid`` replaced."""
+    t = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+
+
+def assert_same_bytes(a, b):
+    """Byte-equal arrays, except that any NaN matches any NaN (the two forms
+    may give NaNs of different sign)."""
+    assert a.dtype == b.dtype and a.shape == b.shape
+    nan = np.isnan(b)
+    np.testing.assert_array_equal(np.isnan(a), nan)
+    assert a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def float_arrays(dtype):
+    width = np.dtype(dtype).itemsize * 8
+    return arrays(dtype, st.integers(0, 64),
+                  elements=st.floats(allow_nan=True, allow_infinity=True, width=width))
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_special_values(self, dtype):
+        info = np.finfo(dtype)
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                      info.smallest_subnormal, -info.smallest_subnormal,
+                      info.tiny, -info.tiny, info.max, -info.max,
+                      88.7, -88.7, 103.9, -103.9, 709.8, -709.8, 745.2, -745.2], dtype)
+        assert_same_bytes(sigmoid(x), where_sigmoid(x))
+
+    @given(st.one_of(float_arrays(np.float32), float_arrays(np.float64)))
+    def test_matches_where_form(self, x):
+        assert_same_bytes(sigmoid(x), where_sigmoid(x))
+
+
+@functools.lru_cache(maxsize=None)
+def bench_size_params(dtype: str, pooling: str, n_heads: int) -> ModelParams:
+    """Bench-size weights with non-zero biases and non-unit layer-norm gains,
+    so every bias add and gain product changes bytes."""
+    cfg = ModelConfig(n_heads=n_heads, pooling=pooling, dropout=0.0)
+    params = init_params(cfg, seed=n_heads, dtype=np.dtype(dtype))
+    rng = np.random.default_rng(n_heads)
+    for _, t in params.named_tensors():
+        if t.ndim == 1:
+            t += rng.standard_normal(t.shape) * 0.5
+    return params
+
+
+class TestInferBody:
+    """The cache-free inference forward computes what the train-mode body
+    computes at dropout 0, byte for byte, and keeps none of its caches."""
+
+    @staticmethod
+    def p_and_logit(x, params, mode):
+        # only the two outputs leave this frame, so a failing example does
+        # not keep a whole forward cache alive while hypothesis shrinks it
+        p, cache = forward_batch(x, params, mode=mode, rng=np.random.default_rng(0))
+        return p, cache["logit"]
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 300), st.sampled_from(["float32", "float64"]),
+           st.sampled_from(["mean", "last"]), st.sampled_from([1, 2, 4]),
+           st.sampled_from([1e-3, 1.0, 30.0, 1e4, 1e6]), st.integers(0, 2 ** 32 - 1))
+    def test_matches_train_body(self, b, dtype, pooling, n_heads, scale, seed):
+        params = bench_size_params(dtype, pooling, n_heads)
+        x = np.random.default_rng(seed).standard_normal((b, 5, FEATURE_DIM)) * scale
+        p, logit = self.p_and_logit(x, params, "infer")
+        p_train, logit_train = self.p_and_logit(x, params, "train")
+        assert p.tobytes() == p_train.tobytes()
+        assert logit.tobytes() == logit_train.tobytes()
+
+    def test_cache_holds_only_the_outputs(self):
+        p, cache = forward_batch(np.ones((2, 5, FEATURE_DIM)),
+                                 bench_size_params("float64", "mean", 2))
+        assert set(cache) == {"logit", "p", "mode"}
+        assert cache["p"] is p and cache["mode"] == "infer"
+
+    def test_b256_float32_peak_allocation(self):
+        # 39.4e6 bytes when inference kept the train-mode caches, 9.7e6 without
+        params = bench_size_params("float32", "mean", 2)
+        x = np.random.default_rng(3).standard_normal((256, 5, FEATURE_DIM)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            forward_batch(x, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
+
+
 class TestPrediction:
     def test_label_threshold(self):
         assert Prediction(1, 0.49, 0).label == "A"
@@ -429,7 +523,7 @@ class TestSerialization:
         with pytest.raises(ModelError, match="int8"):
             load_params(path)
 
-    @pytest.mark.parametrize("blob", ["not*base64!", "QUJD", 42])
+    @pytest.mark.parametrize("blob", ["not*base64!", "QUJD", "QUJ\u00e9", 42, None])
     def test_bad_base64_refused(self, tmp_path, blob):
         _, path, obj = self.saved_obj(tmp_path)
         obj["flat"] = blob
