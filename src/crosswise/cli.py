@@ -87,11 +87,15 @@ def cmd_run(args) -> int:
     if args.alert_udp:
         host, port = args.alert_udp.rsplit(":", 1)
         sink = pipeline.UdpAlertSink(host, int(port))
-    summary = pipeline.run(ingest.read_stream(args.infile), geometry, params,
-                           predictions_path=args.out, alert_sink=sink,
-                           dump_features_path=args.dump_features)
+    try:
+        summary = pipeline.run(ingest.read_stream(args.infile), geometry, params,
+                               predictions_path=args.out, alert_sink=sink,
+                               dump_features_path=args.dump_features)
+    finally:
+        if sink:
+            sink.close()
     if sink:
-        sink.close()
+        summary.update(alerts_sent=sink.sent, alerts_dropped=sink.dropped)
     _write_json(summary, None)
     return 0
 

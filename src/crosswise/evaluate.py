@@ -218,7 +218,10 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":
-        return cls(**{k: v for k, v in obj.items() if k in cls.__dataclass_fields__})
+        unknown = sorted(set(obj) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown train config keys {unknown}")
+        return cls(**obj)
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(d_in=features.FEATURE_DIM, d_h=self.d_h,

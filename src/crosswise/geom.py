@@ -150,6 +150,16 @@ def _reject_box(poly: Polygon) -> tuple[float, float, float, float]:
     return (x0 - mx, min(ys) - _EPS, x1 + mx, max(ys) + _EPS)
 
 
+_CONFIG_KEYS = ("fps", "px_per_meter", "frame_size", "crop_rect", "waiting_areas",
+                "start_crossing_zones", "crossing_zones", "crosswalk_entries")
+
+
+def _refuse_unknown_keys(obj: dict, known: Sequence[str], where: str) -> None:
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise GeometryError(f"unknown {where} config keys {unknown}")
+
+
 @dataclass(frozen=True)
 class IntersectionGeometry:
     """Declared zones of interest for one camera view.
@@ -250,14 +260,6 @@ class IntersectionGeometry:
             raise GeometryError(f"point {p} outside crop bounds {cw}x{ch}")
         return (cx + x, cy + y)
 
-    def full_to_crop(self, p: Point) -> Point:
-        """Inverse of crop_to_full; errors when the point is not in the crop."""
-        cx, cy, cw, ch = self.crop_rect
-        x, y = p[0] - cx, p[1] - cy
-        if not (0.0 <= x <= cw and 0.0 <= y <= ch):
-            raise GeometryError(f"point {p} outside crop rect")
-        return (x, y)
-
     def _waiting_index(self, p: Point) -> Optional[int]:
         waiting = self._waiting
         if len(waiting) < 2:  # the one area serves every point
@@ -270,13 +272,9 @@ class IntersectionGeometry:
         return min(range(len(centroids)),
                    key=lambda i: math.hypot(x - centroids[i][0], y - centroids[i][1]))
 
-    def waiting_area_for(self, p: Point) -> Optional[Zone]:
-        """The waiting area containing p, else the nearest one by centroid."""
-        i = self._waiting_index(p)
-        return None if i is None else self.waiting_areas[i]
-
     def waiting_compactness(self, p: Point) -> float:
-        """Area over frame area of waiting_area_for(p); 0.0 without waiting areas."""
+        """Area over frame area of the waiting area containing p, else of the
+        nearest one by centroid; 0.0 without waiting areas."""
         i = self._waiting_index(p)
         return 0.0 if i is None else self._waiting[i][3]
 
@@ -284,9 +282,12 @@ class IntersectionGeometry:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "IntersectionGeometry":
+        _refuse_unknown_keys(cfg, _CONFIG_KEYS, "geometry")
+
         def zones(key: str) -> tuple[Zone, ...]:
             out = []
             for item in cfg.get(key, []):
+                _refuse_unknown_keys(item, ("id", "label", "polygon"), f"{key} zone")
                 out.append(Zone(
                     zone_id=str(item["id"]),
                     polygon=tuple((float(x), float(y)) for x, y in item["polygon"]),

@@ -303,16 +303,22 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ScenarioSpec":
+        unknown = sorted(set(obj) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown scenario keys {unknown}")
+        for key in ("n_vrus", "seed", "max_concurrent"):
+            if key in obj and type(obj[key]) is not int:
+                raise ValueError(f"{key} must be a JSON integer, got {obj[key]!r}")
         return cls(
-            n_vrus=int(obj["n_vrus"]),
+            n_vrus=obj["n_vrus"],
             class_mix={k: float(v) for k, v in obj.get(
                 "class_mix", {"pedestrian": 1.0}).items()},
             label=obj.get("label"),
             noise_sigma=float(obj.get("noise_sigma", 0.0)),
             dropout=float(obj.get("dropout", 0.0)),
             condition=obj.get("condition", "day"),
-            seed=int(obj.get("seed", 0)),
-            max_concurrent=int(obj.get("max_concurrent", 6)),
+            seed=obj.get("seed", 0),
+            max_concurrent=obj.get("max_concurrent", 6),
         )
 
     @classmethod
@@ -332,12 +338,6 @@ class VruTruth:
     exit_frame: int
     crossing_entry_frame: Optional[int]
     samples: list[tuple[int, float, float]]  # (frame, cx, cy) every SAMPLE_EVERY frames
-
-    def center_at(self, frame: int) -> Optional[tuple[float, float]]:
-        for f, x, y in self.samples:
-            if f == frame:
-                return (x, y)
-        return None
 
 
 SAMPLE_EVERY = 5

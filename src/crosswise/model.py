@@ -144,6 +144,9 @@ class ModelParams:
     head: HeadParams = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.layout_hash != LAYOUT_HASH:
+            raise LayoutMismatchError(
+                f"weights built for layout {self.layout_hash}, code has {LAYOUT_HASH}")
         size = _layout(self.config)[1]
         if self.flat.shape != (size,) or not self.flat.flags.c_contiguous:
             raise ModelError(f"parameter buffer must be contiguous ({size},), "
@@ -255,49 +258,6 @@ def _apply_mask(x, mask):
     return x if mask is None else x * mask
 
 
-# --- single-vector ops (public surface, also used by the oracle tests) -------
-
-
-def gru_cell(x: np.ndarray, h_prev: np.ndarray, layer: GruLayerParams) -> np.ndarray:
-    """One GRU step for a single vector pair."""
-    x = np.asarray(x, dtype=float)
-    h_prev = np.asarray(h_prev, dtype=float)
-    if x.shape[0] != layer.w_z.shape[0] or h_prev.shape[0] != layer.u_z.shape[0]:
-        raise ModelError(f"gru_cell shape mismatch: x{x.shape} h{h_prev.shape}")
-    z = sigmoid(x @ layer.w_z + h_prev @ layer.u_z + layer.b_z)
-    r = sigmoid(x @ layer.w_r + h_prev @ layer.u_r + layer.b_r)
-    g = np.tanh(x @ layer.w_h + (r * h_prev) @ layer.u_h + layer.b_h)
-    return (1.0 - z) * h_prev + z * g
-
-
-def gru_forward(x_seq: np.ndarray, params: ModelParams, mode: str = "infer",
-                rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Run the 2-layer GRU stack over one (T, d_in) sequence; returns (T, d_h)."""
-    hs, _, _ = _gru_stack_forward(np.asarray(x_seq, dtype=float)[None], params,
-                                  mode == "train", rng)
-    return hs[0]
-
-
-def multi_head_attention(h_seq: np.ndarray, attn: AttentionParams
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled dot-product multi-head attention over one (T, d) sequence.
-
-    Returns (output, softmax weights of shape (n_heads, T, T)).
-    """
-    out, cache = _mha_forward(np.asarray(h_seq, dtype=float)[None], attn)
-    return out[0], cache["a"][0]
-
-
-def attention_encoder(h_seq: np.ndarray, attn: AttentionParams, mode: str = "infer",
-                      rng: Optional[np.random.Generator] = None,
-                      dropout: float = 0.0) -> np.ndarray:
-    """Full encoder block (attention, FFN, norms) over one (T, d) sequence."""
-    out, _ = _encoder_forward(np.asarray(h_seq, dtype=float)[None], attn,
-                              dropout if mode == "train" else 0.0,
-                              rng if mode == "train" else None)
-    return out[0]
-
-
 # --- batched forward ----------------------------------------------------------
 
 
@@ -332,16 +292,6 @@ def _gru_layer_forward(seq, layer: GruLayerParams):
         h = (1.0 - z) * h + z * g
         hs[:, t, :] = h
     return hs, (seq, steps)
-
-
-def _gru_stack_forward(x, params: ModelParams, train: bool,
-                       rng: Optional[np.random.Generator]):
-    rate = params.config.dropout if train else 0.0
-    h1, cache1 = _gru_layer_forward(x, params.gru[0])
-    mask = _dropout_mask(rng, h1.shape, rate, x.dtype) if train else None
-    h1d = _apply_mask(h1, mask)
-    h2, cache2 = _gru_layer_forward(h1d, params.gru[1])
-    return h2, (cache1, cache2, mask), x
 
 
 def _mha_forward(h_seq, attn: AttentionParams):
@@ -388,9 +338,6 @@ def forward_batch(x: np.ndarray, params: ModelParams, mode: str = "infer",
     dropout masks and caches what ``backward_batch`` reads; infer mode runs
     mask-free and its cache holds only ``logit``, ``p`` and ``mode``.
     """
-    if params.layout_hash != LAYOUT_HASH:
-        raise LayoutMismatchError(
-            f"weights built for layout {params.layout_hash}, code has {LAYOUT_HASH}")
     dtype = params.flat.dtype
     x = np.asarray(x).astype(dtype, copy=False)
     if x.ndim != 3 or x.shape[2] != params.config.d_in:
@@ -405,7 +352,12 @@ def forward_batch(x: np.ndarray, params: ModelParams, mode: str = "infer",
         raise ModelError("train-mode forward needs a dropout Generator")
     rate = params.config.dropout
 
-    h2, gru_cache, x_in = _gru_stack_forward(x, params, True, rng)
+    # masks are drawn GRU output first, then encoder, then head; the trained
+    # weight bytes of every seed depend on that order
+    h1, cache1 = _gru_layer_forward(x, params.gru[0])
+    m_gru = _dropout_mask(rng, h1.shape, rate, x.dtype)
+    h1 = _apply_mask(h1, m_gru)  # frees the unmasked output; backward never reads it
+    h2, cache2 = _gru_layer_forward(h1, params.gru[1])
     enc, enc_cache = _encoder_forward(h2, params.attn, rate, rng)
 
     if params.config.pooling == "mean":
@@ -420,7 +372,7 @@ def forward_batch(x: np.ndarray, params: ModelParams, mode: str = "infer",
     p = sigmoid(logit)
     if not np.all(np.isfinite(p)):
         raise ModelError("non-finite prediction")
-    cache = {"x": x_in, "gru": gru_cache, "h2": h2, "enc": enc, "enc_cache": enc_cache,
+    cache = {"gru": (cache1, cache2, m_gru), "enc": enc, "enc_cache": enc_cache,
              "pooled": pooled, "u1": u1, "a1d": a1d, "m_fc": m_fc,
              "logit": logit, "p": p, "mode": mode}
     return p, cache
@@ -496,13 +448,6 @@ def forward(window: FeatureWindow, params: ModelParams, mode: str = "infer",
             rng: Optional[np.random.Generator] = None) -> tuple[Prediction, dict]:
     p, cache = forward_batch(window.matrix[None], params, mode, rng)
     return Prediction(window.track_id, float(p[0]), window.end_frame_idx), cache
-
-
-def bce_loss(p: np.ndarray, y: np.ndarray) -> float:
-    """Mean binary cross-entropy; clamped away from exact 0/1 for the log."""
-    eps = 1e-12
-    p = np.clip(np.asarray(p, dtype=np.float64), eps, 1.0 - eps)
-    return float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).mean())
 
 
 def bce_from_logits(logits: np.ndarray, y: np.ndarray) -> float:
@@ -688,5 +633,7 @@ def load_params(path: str | Path) -> ModelParams:
         raise ModelError(f"weight buffer holds {len(raw)} bytes, "
                          f"the layout needs {size * dtype.itemsize}")
     # astype copies out of the read-only bytes into a writable native array
-    return ModelParams(config, np.frombuffer(raw, dtype.newbyteorder("<")).astype(dtype),
-                       layout_hash)
+    flat = np.frombuffer(raw, dtype.newbyteorder("<")).astype(dtype)
+    if not np.isfinite(flat).all():
+        raise ModelError("weight buffer holds a non-finite value")
+    return ModelParams(config, flat, layout_hash)

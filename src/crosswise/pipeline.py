@@ -112,7 +112,6 @@ class Pipeline:
         self.ctx: dict[int, _TrackCtx] = {}
         self.last_frame = -1
         self.tracks_created = 0
-        self.pose_merges_while_crossing = 0  # stays 0; counted to prove the gate
 
     # -- state machine helpers -------------------------------------------
 
@@ -150,10 +149,7 @@ class Pipeline:
         for tid in events.created:
             self.ctx[tid] = _TrackCtx()
 
-        merged = self.table.merge_pose(rec.crop_poses)
-        for tid in merged:
-            if self.table.tracks[tid].zone.kind == ZoneType.CROSSING:
-                self.pose_merges_while_crossing += 1  # must never happen
+        self.table.merge_pose(rec.crop_poses)
 
         # a ctx is made with its track and leaves with it; none is DONE before
         for tid in events.retired:

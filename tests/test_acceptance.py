@@ -14,12 +14,12 @@ from crosswise.evaluate import (ConfusionCounts, TrainConfig, ablation,
                                 match_tracks_to_truth, metrics, train)
 from crosswise.features import FEATURE_DIM, WindowAssembler
 from crosswise.ingest import SAMPLE_EVERY, ScenarioSpec, generate_scenario
-from crosswise.model import (ModelConfig, backward_batch, bce_loss, forward_batch,
+from crosswise.model import (ModelConfig, backward_batch, bce_from_logits, forward_batch,
                              init_params, load_params, params_to_json_bytes)
 from crosswise.optim import PlateauScheduler
 from crosswise.pipeline import Pipeline, TrackState, bench, run
-from tests.test_model import gru_cell_reference, mha_reference, random_attention, \
-    random_gru_layer
+from tests.test_model import gru_oracle_error, mha_oracle_error
+from tests.test_pipeline import crossing_pose_binds, poses_by_track
 
 
 def report(criterion, detail):
@@ -34,9 +34,9 @@ def test_01_gradient_correctness():
     y = np.array([1.0])
 
     def loss():
-        p, cache = forward_batch(x, params, mode="train",
+        _, cache = forward_batch(x, params, mode="train",
                                  rng=np.random.default_rng(103))
-        return bce_loss(p, y), cache
+        return bce_from_logits(cache["logit"], y), cache
 
     _, cache = loss()
     grads = backward_batch(cache, y, params)
@@ -71,31 +71,19 @@ def test_01_gradient_correctness():
 
 
 def test_02_equation_oracles():
-    from crosswise.model import gru_cell, multi_head_attention
-
-    worst_gru = 0.0
+    # the gate equations chained over 2-5 steps against both GRU layer bodies,
+    # the per-head attention transcription against _mha_forward
+    worst_gru = {"train": 0.0, "infer": 0.0}
     worst_attn = 0.0
     for seed in range(100):
-        rng = np.random.default_rng(seed)
-        d_in = int(rng.integers(2, 8))
-        d_h = int(rng.integers(2, 10))
-        layer = random_gru_layer(rng, d_in, d_h)
-        x = rng.standard_normal(d_in)
-        h = rng.standard_normal(d_h)
-        worst_gru = max(worst_gru, float(np.max(np.abs(
-            gru_cell(x, h, layer) - gru_cell_reference(x, h, layer)))))
-
-        nh = int(rng.choice([1, 2, 4]))
-        dk = int(rng.integers(2, 5))
-        attn = random_attention(rng, nh * dk, nh)
-        hseq = rng.standard_normal((5, nh * dk))
-        out, _ = multi_head_attention(hseq, attn)
-        worst_attn = max(worst_attn, float(np.max(np.abs(
-            out - mha_reference(hseq, attn)))))
-    assert worst_gru <= 1e-10
+        for name, err in gru_oracle_error(seed).items():
+            worst_gru[name] = max(worst_gru[name], err)
+        worst_attn = max(worst_attn, mha_oracle_error(seed))
+    assert max(worst_gru.values()) <= 1e-12
     assert worst_attn <= 1e-10
     report("02 equation-oracles",
-           f"100 seeds, gru {worst_gru:.1e}, attention {worst_attn:.1e}")
+           f"100 seeds, gru train body {worst_gru['train']:.1e}, infer body "
+           f"{worst_gru['infer']:.1e}, attention {worst_attn:.1e}")
 
 
 def test_03_metric_identities():
@@ -203,7 +191,8 @@ def test_08_determinism_and_serialization(geometry, tmp_path):
 
 
 def test_09_pipeline_behavior(geometry, noisy_model_result):
-    # (a) pose merging provably inactive while crossing
+    # (a) pose merging inactive while crossing: no step binds a pose to a
+    # track whose zone is CROSSING after the step
     spec = ScenarioSpec(n_vrus=150, noise_sigma=2.0, dropout=0.05, seed=901)
     records, truths = generate_scenario(spec, geometry)
     params = noisy_model_result.params
@@ -212,8 +201,11 @@ def test_09_pipeline_behavior(geometry, noisy_model_result):
     track_alerts = {}
     track_preds = {}
     crossing_entry_ts = {}
+    crossing_pose_merges = 0
     for rec in records:
+        before = poses_by_track(pipe)
         out = pipe.step(rec)
+        crossing_pose_merges += len(crossing_pose_binds(pipe, before))
         for tid, _, new in out.state_changes:
             if new is TrackState.CROSSING:
                 crossing_entry_ts[tid] = rec.ts_ms
@@ -225,7 +217,7 @@ def test_09_pipeline_behavior(geometry, noisy_model_result):
             for tid, tr in pipe.table.tracks.items():
                 if tr.last_seen == rec.frame_idx:
                     track_samples.setdefault(tid, {})[rec.frame_idx] = tr.center
-    assert pipe.pose_merges_while_crossing == 0
+    assert crossing_pose_merges == 0
 
     # (b) alert lead time positive for >= 95% of correctly predicted tracks
     assignment = match_tracks_to_truth(track_samples, truths)

@@ -44,7 +44,7 @@ def test_train_writes_loadable_weights(workspace):
     assert params.config.n_heads == 2
 
 
-def test_run_with_udp_alerts(workspace):
+def test_run_with_udp_alerts(workspace, capsys):
     receiver = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     receiver.bind(("127.0.0.1", 0))
     receiver.settimeout(5.0)
@@ -55,6 +55,10 @@ def test_run_with_udp_alerts(workspace):
                  "--in", str(workspace["data"]), "--out", str(preds),
                  "--alert-udp", f"127.0.0.1:{port}"]) == 0
     assert preds.stat().st_size > 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["alerts"] > 0
+    assert summary["alerts_sent"] == summary["alerts"]
+    assert summary["alerts_dropped"] == 0
     payload = json.loads(receiver.recv(65536).decode())
     assert payload["schema"] == "crosswise/1"
     receiver.close()

@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -217,6 +219,16 @@ class TestBuildDataset:
         records, truths = small_scenario
         again = build_dataset(records, truths, geometry)
         assert again.sha256() == small_dataset.sha256()
+
+
+class TestTrainConfig:
+    def test_round_trip(self):
+        cfg = TrainConfig(epochs=3, n_heads=4, pooling="last", dtype="float64")
+        assert TrainConfig.from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
+
+    def test_unknown_keys_refused(self):
+        with pytest.raises(ValueError, match=r"\['epoch', 'n_head'\]"):
+            TrainConfig.from_dict({"n_head": 4, "epoch": 3})
 
 
 class TestTrain:

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -151,7 +152,7 @@ class TestZoneQueriesMatchValidatingTest:
     def check(p):
         assert DEMO.classify_point(p) == reference_classify(DEMO, p)
         wait = reference_waiting_area(DEMO, p)
-        assert DEMO.waiting_area_for(p) is wait
+        assert DEMO.waiting_areas[DEMO._waiting_index(p)] is wait
         assert DEMO.waiting_compactness(p) == polygon_area(wait.polygon) / DEMO.frame_area
 
     @given(demo_points)
@@ -193,17 +194,48 @@ class TestCropMapping:
 
     def test_round_trip_100_random_points(self, geometry):
         rng = np.random.default_rng(7)
-        _, _, cw, ch = geometry.crop_rect
+        cx, cy, cw, ch = geometry.crop_rect
         for _ in range(100):
             p = (rng.uniform(0, cw), rng.uniform(0, ch))
-            back = geometry.full_to_crop(geometry.crop_to_full(p))
-            assert back == pytest.approx(p, abs=1e-12)
+            fx, fy = geometry.crop_to_full(p)
+            assert (fx, fy) == (cx + p[0], cy + p[1])
+            assert (fx - cx, fy - cy) == pytest.approx(p, abs=1e-12)
 
     def test_out_of_bounds_errors(self, geometry):
         with pytest.raises(GeometryError):
             geometry.crop_to_full((-1.0, 5.0))
         with pytest.raises(GeometryError):
             geometry.crop_to_full((5.0, 1e6))
+
+
+@st.composite
+def geometries(draw):
+    """Valid geometries around the demo layout: any camera scale, frame size,
+    zone ids and start-zone labels, a wider crop, and moved outer zones."""
+    g = demo_geometry()
+    shift = st.floats(-20.0, 20.0)
+
+    def moved(zone, labels):
+        return Zone(draw(st.text(max_size=8)),
+                    tuple((x + draw(shift), y + draw(shift)) for x, y in zone.polygon),
+                    draw(st.sampled_from(labels)))
+
+    cx, cy, cw, ch = g.crop_rect
+    left, top, right, bottom = (draw(st.floats(0.0, 300.0)) for _ in range(4))
+    return IntersectionGeometry(
+        waiting_areas=tuple(replace(z, zone_id=draw(st.text(max_size=8)))
+                            for z in g.waiting_areas),
+        start_crossing_zones=tuple(moved(z, (None, "A", "B"))
+                                   for z in g.start_crossing_zones),
+        crossing_zones=tuple(moved(z, (z.label,)) for z in g.crossing_zones),
+        crosswalk_entries={k: (x + draw(shift), y + draw(shift))
+                           for k, (x, y) in g.crosswalk_entries.items()},
+        crop_rect=(cx - left, cy - top, cw + left + right, ch + top + bottom),
+        fps=draw(st.integers(1, MAX_FPS)),
+        px_per_meter=draw(st.none() | st.floats(MIN_PX_PER_METER, 1e6)),
+        frame_size=draw(st.just((0.0, 0.0))
+                        | st.tuples(st.floats(MIN_FRAME_SIDE, 1e5),
+                                    st.floats(MIN_FRAME_SIDE, 1e5))))
 
 
 class TestGeometryValidation:
@@ -286,6 +318,24 @@ class TestGeometryValidation:
         g = IntersectionGeometry.from_dict(cfg)
         assert g.frame_size[0] >= 720.0  # crop right edge
         assert g.frame_size[1] >= 580.0
+
+    @given(geometries())
+    def test_saved_config_loads_back(self, g):
+        assert IntersectionGeometry.from_dict(json.loads(json.dumps(g.to_dict()))) == g
+
+    def test_unknown_key_refused(self, geometry):
+        cfg = geometry.to_dict()
+        cfg["px_per_metre"] = 50  # read as no scale, speeds would switch units
+        with pytest.raises(GeometryError, match="px_per_metre"):
+            IntersectionGeometry.from_dict(cfg)
+
+    @pytest.mark.parametrize("key", ["waiting_areas", "start_crossing_zones",
+                                     "crossing_zones"])
+    def test_unknown_zone_key_refused(self, geometry, key):
+        cfg = geometry.to_dict()
+        cfg[key][-1]["lable"] = "A"
+        with pytest.raises(GeometryError, match="lable"):
+            IntersectionGeometry.from_dict(cfg)
 
 
 def test_polygon_area():
@@ -431,7 +481,7 @@ class TestWaitingCompactnessMatchesLegacyWalk:
     def check(g, p):
         i = legacy_waiting_index(g, p)
         assert g.waiting_compactness(p) == polygon_area(g.waiting_areas[i].polygon) / g.frame_area
-        assert g.waiting_area_for(p) is g.waiting_areas[i]
+        assert g._waiting_index(p) == i
 
     @given(two_wait_points)
     def test_two_overlapping_areas(self, p):
@@ -448,7 +498,7 @@ class TestWaitingCompactnessMatchesLegacyWalk:
             crossing_zones=g.crossing_zones, crosswalk_entries=g.crosswalk_entries,
             crop_rect=g.crop_rect, fps=g.fps, frame_size=g.frame_size)
         assert g0.waiting_compactness((600.0, 480.0)) == 0.0
-        assert g0.waiting_area_for((600.0, 480.0)) is None
+        assert g0._waiting_index((600.0, 480.0)) is None
 
 
 class TestCachedAttributes:

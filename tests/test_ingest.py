@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -263,6 +264,24 @@ class TestTranslated:
         assert not np.shares_memory(shifted.keypoints, pose.keypoints)
 
 
+class TestScenarioSpecFile:
+    def test_round_trip(self):
+        spec = ScenarioSpec(n_vrus=3, class_mix={"pedestrian": 0.5, "cyclist": 0.5},
+                            label="B", noise_sigma=2.0, dropout=0.1, condition="night",
+                            seed=4, max_concurrent=2)
+        assert ScenarioSpec.from_dict(json.loads(json.dumps(asdict(spec)))) == spec
+
+    def test_unknown_key_refused(self):
+        with pytest.raises(ValueError, match="noise"):
+            ScenarioSpec.from_dict({"n_vrus": 3, "noise": 2.0})
+
+    @pytest.mark.parametrize("key,value", [("n_vrus", 3.9), ("n_vrus", 3.0),
+                                           ("seed", True), ("max_concurrent", "6")])
+    def test_integer_fields_must_be_integers(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            ScenarioSpec.from_dict({"n_vrus": 3, key: value})
+
+
 class TestGenerator:
     def test_single_vru_terminates_in_labeled_crossing(self, geometry):
         spec = ScenarioSpec(n_vrus=1, label="A", seed=9)
@@ -311,8 +330,8 @@ class TestGenerator:
         for truth in truths[:10]:
             frame = truth.crossing_entry_frame
             assert frame is not None
-            center = truth.center_at(truth.samples[-1][0])
-            zk = geometry.classify_point(center)
+            _, cx, cy = truth.samples[-1]
+            zk = geometry.classify_point((cx, cy))
             assert zk.label == truth.label
 
     def test_dropout_thins_detections(self, geometry):

@@ -13,11 +13,10 @@ from hypothesis.extra.numpy import arrays
 
 from crosswise.features import FEATURE_DIM, FeatureWindow
 from crosswise.model import (AttentionParams, GruLayerParams, LayoutMismatchError,
-                             ModelConfig, ModelError, Prediction, attention_encoder,
-                             backward_batch, bce_from_logits, bce_loss, forward,
-                             forward_batch, gru_cell, gru_forward, init_params,
-                             load_params, multi_head_attention, save_params,
-                             sigmoid, softmax_last)
+                             ModelConfig, ModelError, Prediction, _gru_layer_forward,
+                             _gru_layer_infer, _mha_forward, backward_batch,
+                             bce_from_logits, forward, forward_batch, init_params,
+                             load_params, save_params, sigmoid, softmax_last)
 from crosswise.model import WEIGHT_FILE_VERSION, ModelParams
 
 
@@ -87,36 +86,91 @@ def random_attention(rng, dm, nh, d_ff=8):
         ln2_gain=np.ones(dm), ln2_bias=np.zeros(dm), n_heads=nh)
 
 
+def gru_sequence_reference(x_seq, layer):
+    """gru_cell_reference chained over a (T, d_in) sequence from a zero state."""
+    h = np.zeros(layer.u_z.shape[0])
+    out = []
+    for x in x_seq:
+        h = gru_cell_reference(x, h, layer)
+        out.append(h)
+    return np.array(out)
+
+
+# the two forward bodies of a GRU layer, each mapping (B, T, d_in) to the
+# hidden states (B, T, d_h) from a zero state
+GRU_BODIES = {"train": lambda seq, layer: _gru_layer_forward(seq, layer)[0],
+              "infer": _gru_layer_infer}
+
+
+def gru_oracle_error(seed):
+    """Largest deviation of either GRU body from the transcription, over
+    T in [2, 5] steps from a zero state, for one random layer."""
+    rng = np.random.default_rng(seed)
+    d_in = int(rng.integers(2, 8))
+    d_h = int(rng.integers(2, 10))
+    t_len = int(rng.integers(2, 6))
+    layer = random_gru_layer(rng, d_in, d_h)
+    seq = rng.standard_normal((2, t_len, d_in))
+    want = np.stack([gru_sequence_reference(row, layer) for row in seq])
+    return {name: float(np.max(np.abs(body(seq, layer) - want)))
+            for name, body in GRU_BODIES.items()}
+
+
+def mha_oracle_error(seed):
+    """Largest deviation of _mha_forward from the dense transcription, for
+    one random attention block over two sequences of 5 steps."""
+    rng = np.random.default_rng(seed)
+    nh = int(rng.choice([1, 2, 4]))
+    dk = int(rng.integers(2, 5))
+    attn = random_attention(rng, nh * dk, nh)
+    h = rng.standard_normal((2, 5, nh * dk))
+    out, _ = _mha_forward(h, attn)
+    return max(float(np.max(np.abs(out[i] - mha_reference(h[i], attn))))
+               for i in range(len(h)))
+
+
+def mha_weights(h_seq, attn):
+    """Output and softmax weights (n_heads, T, T) of _mha_forward for one sequence."""
+    out, cache = _mha_forward(h_seq[None], attn)
+    return out[0], cache["a"][0]
+
+
 class TestGruCell:
+    """The gate equations, checked on both forward bodies of a GRU layer."""
+
     def test_zero_params_halve_hidden_state(self):
+        # z = 0.5 and g = tanh(b_h), so each step halves h - tanh(b_h):
+        # h_t = (1 - 2^-t) tanh(b_h) from h_0 = 0
         layer = GruLayerParams(*[np.zeros((4, 6))] * 3, *[np.zeros((6, 6))] * 3,
-                               *[np.zeros(6)] * 3)
-        v = np.arange(6.0)
-        np.testing.assert_allclose(gru_cell(np.ones(4), v, layer), 0.5 * v)
+                               np.zeros(6), np.zeros(6), np.linspace(-2.0, 2.0, 6))
+        want = np.array([(1.0 - 0.5 ** t) * np.tanh(layer.b_h) for t in range(1, 6)])
+        for name, body in GRU_BODIES.items():
+            h = body(np.ones((3, 5, 4)), layer)
+            np.testing.assert_allclose(h, np.broadcast_to(want, h.shape),
+                                       rtol=0, atol=1e-15, err_msg=name)
 
     def test_zero_everything(self):
-        layer = GruLayerParams(*[np.zeros((4, 6))] * 3, *[np.zeros((6, 6))] * 3,
-                               *[np.zeros(6)] * 3)
-        np.testing.assert_array_equal(gru_cell(np.zeros(4), np.zeros(6), layer),
-                                      np.zeros(6))
+        # zero input and zero biases keep the state at zero, whatever W and U
+        rng = np.random.default_rng(0)
+        layer = random_gru_layer(rng, 4, 6)
+        layer.b_z, layer.b_r, layer.b_h = np.zeros(6), np.zeros(6), np.zeros(6)
+        for name, body in GRU_BODIES.items():
+            np.testing.assert_array_equal(body(np.zeros((2, 5, 4)), layer),
+                                          np.zeros((2, 5, 6)), err_msg=name)
 
     def test_matches_equation_transcription_100_seeds(self):
         for seed in range(100):
-            rng = np.random.default_rng(seed)
-            d_in = int(rng.integers(2, 8))
-            d_h = int(rng.integers(2, 10))
-            layer = random_gru_layer(rng, d_in, d_h)
-            x = rng.standard_normal(d_in)
-            h = rng.standard_normal(d_h)
-            np.testing.assert_allclose(gru_cell(x, h, layer),
-                                       gru_cell_reference(x, h, layer),
-                                       rtol=0, atol=1e-12)
+            for name, err in gru_oracle_error(seed).items():
+                assert err <= 1e-12, (seed, name, err)
 
     def test_shape_mismatch(self):
-        rng = np.random.default_rng(0)
-        layer = random_gru_layer(rng, 4, 6)
-        with pytest.raises(ModelError):
-            gru_cell(np.zeros(5), np.zeros(6), layer)
+        params = init_params(ModelConfig(d_in=4, d_h=6, n_heads=2, d_ff=4), seed=0)
+        with pytest.raises(ModelError, match="input"):
+            forward_batch(np.zeros((1, 5, 5)), params)
+
+
+def gru_stack(body, x, params):
+    return body(body(x, params.gru[0]), params.gru[1])
 
 
 class TestGruForward:
@@ -125,51 +179,48 @@ class TestGruForward:
         params = init_params(cfg, seed=0)
         for _, t in params.named_tensors():
             t[...] = 0.0
-        h = gru_forward(np.ones((5, 4)), params)
-        np.testing.assert_array_equal(h, np.zeros((5, 8)))
+        for name, body in GRU_BODIES.items():
+            np.testing.assert_array_equal(gru_stack(body, np.ones((1, 5, 4)), params),
+                                          np.zeros((1, 5, 8)), err_msg=name)
 
     def test_t1_equals_cell_composition(self):
         cfg = ModelConfig(d_in=4, d_h=8, n_heads=2, d_ff=8, dropout=0.0)
         params = init_params(cfg, seed=1)
-        x = np.random.default_rng(2).standard_normal((1, 4))
-        h1 = gru_cell(x[0], np.zeros(8), params.gru[0])
-        h2 = gru_cell(h1, np.zeros(8), params.gru[1])
-        np.testing.assert_allclose(gru_forward(x, params)[0], h2, atol=1e-12)
+        x = np.random.default_rng(2).standard_normal((1, 1, 4))
+        h1 = gru_cell_reference(x[0, 0], np.zeros(8), params.gru[0])
+        h2 = gru_cell_reference(h1, np.zeros(8), params.gru[1])
+        for name, body in GRU_BODIES.items():
+            np.testing.assert_allclose(gru_stack(body, x, params)[0, 0], h2,
+                                       rtol=0, atol=1e-12, err_msg=name)
 
     def test_order_sensitivity(self):
         cfg = ModelConfig(d_in=4, d_h=8, n_heads=2, d_ff=8, dropout=0.0)
         params = init_params(cfg, seed=3)
-        x = np.random.default_rng(4).standard_normal((5, 4))
-        h_fwd = gru_forward(x, params)
-        h_rev = gru_forward(x[::-1], params)
-        assert not np.allclose(h_fwd[-1], h_rev[-1])
+        x = np.random.default_rng(4).standard_normal((1, 5, 4))
+        for name, body in GRU_BODIES.items():
+            h_fwd = gru_stack(body, x, params)
+            h_rev = gru_stack(body, x[:, ::-1], params)
+            assert not np.allclose(h_fwd[0, -1], h_rev[0, -1]), name
 
 
 class TestAttention:
     def test_matches_dense_transcription_100_seeds(self):
         for seed in range(100):
-            rng = np.random.default_rng(1000 + seed)
-            nh = int(rng.choice([1, 2, 4]))
-            dk = int(rng.integers(2, 5))
-            dm = nh * dk
-            attn = random_attention(rng, dm, nh)
-            h = rng.standard_normal((5, dm))
-            out, _ = multi_head_attention(h, attn)
-            np.testing.assert_allclose(out, mha_reference(h, attn),
-                                       rtol=0, atol=1e-10)
+            err = mha_oracle_error(1000 + seed)
+            assert err <= 1e-10, (seed, err)
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(11)
         attn = random_attention(rng, 8, 2)
         h = rng.standard_normal((5, 8))
-        _, weights = multi_head_attention(h, attn)
+        _, weights = mha_weights(h, attn)
         np.testing.assert_allclose(weights.sum(axis=-1), np.ones((2, 5)), atol=1e-9)
 
     def test_t1_output_is_projected_v_row(self):
         rng = np.random.default_rng(12)
         attn = random_attention(rng, 8, 2)
         h = rng.standard_normal((1, 8))
-        out, weights = multi_head_attention(h, attn)
+        out, weights = mha_weights(h, attn)
         np.testing.assert_allclose(weights, np.ones((2, 1, 1)))
         np.testing.assert_allclose(out, (h @ attn.w_v) @ attn.w_o, atol=1e-12)
 
@@ -177,7 +228,7 @@ class TestAttention:
         rng = np.random.default_rng(13)
         attn = random_attention(rng, 6, 2)
         h = rng.standard_normal((4, 6))
-        _, weights = multi_head_attention(h, attn)
+        _, weights = mha_weights(h, attn)
         assert np.all(weights >= 0)
         np.testing.assert_allclose(weights.sum(-1), 1.0, atol=1e-9)
 
@@ -190,7 +241,7 @@ class TestAttention:
         rng = np.random.default_rng(15)
         attn = random_attention(rng, 8, 1)
         h = rng.standard_normal((5, 8))
-        out, _ = multi_head_attention(h, attn)
+        out, _ = mha_weights(h, attn)
         scores = (h @ attn.w_q) @ (h @ attn.w_k).T / math.sqrt(8)
         expected = softmax_last(scores) @ (h @ attn.w_v) @ attn.w_o
         np.testing.assert_allclose(out, expected, atol=1e-12)
@@ -200,12 +251,13 @@ class TestAttention:
             ModelConfig(d_h=256, n_heads=3)
 
     def test_encoder_deterministic_in_infer_mode(self):
-        rng = np.random.default_rng(16)
-        attn = random_attention(rng, 8, 2)
-        h = rng.standard_normal((5, 8))
-        a = attention_encoder(h, attn)
-        b = attention_encoder(h, attn)
-        np.testing.assert_array_equal(a, b)
+        # infer mode draws no dropout mask, whatever the configured rate
+        cfg = ModelConfig(d_in=FEATURE_DIM, d_h=8, n_heads=2, d_ff=8, dropout=0.5)
+        params = init_params(cfg, seed=16)
+        x = np.random.default_rng(16).standard_normal((3, 5, FEATURE_DIM))
+        a, _ = forward_batch(x, params)
+        b, _ = forward_batch(x, params)
+        assert a.tobytes() == b.tobytes()
 
 
 class TestForward:
@@ -245,11 +297,19 @@ class TestForward:
         assert base_logit != 0.0
         assert margins[0] < margins[1] < margins[2]
 
-    def test_layout_hash_mismatch_rejected(self):
+    def test_layout_hash_mismatch_rejected(self, tmp_path):
+        # refused where the weights are built and where they are loaded,
+        # so a stale weight file never reaches a forward
         params = self.small_params()
-        params.layout_hash = "0000000000000000"
         with pytest.raises(LayoutMismatchError):
-            forward_batch(np.zeros((1, 5, FEATURE_DIM)), params)
+            ModelParams(params.config, params.flat, "0000000000000000")
+        path = tmp_path / "w.json"
+        save_params(params, path)
+        obj = json.loads(path.read_text())
+        obj["layout_hash"] = "0000000000000000"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(LayoutMismatchError, match="0000000000000000"):
+            load_params(path)
 
     def test_window_wrapper_returns_prediction(self):
         params = self.small_params(seed=9)
@@ -407,7 +467,7 @@ class TestBackward:
         def loss():
             p, cache = forward_batch(x, params, mode="train",
                                      rng=np.random.default_rng(77))
-            return bce_loss(p, y), cache
+            return bce_from_logits(cache["logit"], y), cache
 
         _, cache = loss()
         grads = backward_batch(cache, y, params)
@@ -435,7 +495,8 @@ class TestLoss:
         logits = rng.standard_normal(20) * 3
         y = (rng.random(20) > 0.5).astype(float)
         p = 1.0 / (1.0 + np.exp(-logits))
-        assert bce_loss(p, y) == pytest.approx(bce_from_logits(logits, y), rel=1e-9)
+        bce = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).mean()
+        assert bce_from_logits(logits, y) == pytest.approx(bce, rel=1e-9)
 
     def test_saturated_logits_finite(self):
         assert np.isfinite(bce_from_logits(np.array([500.0, -500.0]),
@@ -514,6 +575,18 @@ class TestSerialization:
         obj["flat"] = base64.b64encode(raw[:-np.dtype(dtype).itemsize]).decode()
         path.write_text(json.dumps(obj))
         with pytest.raises(ModelError, match="bytes"):
+            load_params(path)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_refused(self, tmp_path, dtype, value):
+        params, path, obj = self.saved_obj(tmp_path, dtype)
+        flat = params.flat.copy()
+        flat[len(flat) // 2] = value
+        obj["flat"] = base64.b64encode(flat.astype(flat.dtype.newbyteorder("<"))
+                                       .tobytes()).decode()
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ModelError, match="non-finite"):
             load_params(path)
 
     def test_int8_dtype_refused(self, tmp_path):

@@ -124,12 +124,14 @@ class TestMergePose:
 
     def test_crossing_track_gets_no_pose(self, geometry):
         table = TrackTable(geometry)
-        table.associate([det(300, 470)], 0)  # inside crossing zone A
+        table.associate([det(423, 460)], 0)  # center (438, 490), in crossing zone A
         tid = next(iter(table.tracks))
         assert table.tracks[tid].zone.kind == ZoneType.CROSSING
-        # pose placed exactly on it (in crop coordinates this is off-crop,
-        # so craft one inside the crop with no eligible track nearby)
-        merged = table.merge_pose([pose_at_crop(10, 10)])
+        # crop (0, 110) is full-frame (480, 490): 42 px from the track center,
+        # inside its 45 px gate, so only the zone keeps the pose off it
+        cx0, cy0, _, _ = geometry.crop_rect
+        assert (cx0, cy0 + 110) == (480.0, 490.0)
+        merged = table.merge_pose([pose_at_crop(0, 110)])
         assert merged == []
         assert table.tracks[tid].pose_latest is None
 
