@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import evaluate, ingest, pipeline
@@ -68,7 +69,7 @@ def cmd_ablate(args) -> int:
     dataset = _load_dataset(args)
     cfg = _train_config(args)
     report = evaluate.ablation(dataset, cfg, groups=tuple(args.groups))
-    _write_json(report.to_dict(), args.report)
+    _write_json(asdict(report), args.report)
     return 0
 
 
@@ -76,7 +77,7 @@ def cmd_sweep_heads(args) -> int:
     dataset = _load_dataset(args)
     cfg = _train_config(args)
     report = evaluate.head_sweep(dataset, cfg, heads=tuple(args.heads))
-    _write_json(report.to_dict(), args.report)
+    _write_json(asdict(report), args.report)
     return 0
 
 
@@ -113,6 +114,21 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _add_dataset_command(sub, name: str, help_text: str, func, *flag: str,
+                         **flag_kw) -> None:
+    """A command that reads a recorded stream (``--data``, ``--labels``,
+    ``--geometry``), an optional ``--config`` and ``--report``, and takes
+    one flag of its own."""
+    p = sub.add_parser(name, help=help_text)
+    p.add_argument("--data", required=True)
+    p.add_argument("--labels", required=True)
+    p.add_argument("--geometry", required=True)
+    p.add_argument("--config")
+    p.add_argument(*flag, **flag_kw)
+    p.add_argument("--report")
+    p.set_defaults(func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crosswise",
@@ -130,32 +146,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("train", help="train on a recorded stream")
-    p.add_argument("--data", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--geometry", required=True)
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
-    p.add_argument("--report")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("ablate", help="incremental feature-group ablation")
-    p.add_argument("--data", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--geometry", required=True)
-    p.add_argument("--config")
-    p.add_argument("--groups", nargs="+", default=["L", "M", "G", "P"])
-    p.add_argument("--report")
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("sweep-heads", help="attention head-count sweep")
-    p.add_argument("--data", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--geometry", required=True)
-    p.add_argument("--config")
-    p.add_argument("--heads", nargs="+", type=int, default=[1, 2, 4])
-    p.add_argument("--report")
-    p.set_defaults(func=cmd_sweep_heads)
+    _add_dataset_command(sub, "train", "train on a recorded stream", cmd_train,
+                         "--out", required=True)
+    _add_dataset_command(sub, "ablate", "incremental feature-group ablation", cmd_ablate,
+                         "--groups", nargs="+", default=["L", "M", "G", "P"])
+    _add_dataset_command(sub, "sweep-heads", "attention head-count sweep", cmd_sweep_heads,
+                         "--heads", nargs="+", type=int, default=[1, 2, 4])
 
     p = sub.add_parser("run", help="stream records through a trained model")
     p.add_argument("--geometry", required=True)

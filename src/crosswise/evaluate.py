@@ -13,17 +13,16 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import features
 from .features import FeatureWindow, mask_for_groups
 from .geom import IntersectionGeometry
-from .ingest import SAMPLE_EVERY, FrameRecord, VruTruth
-from .model import (ModelConfig, ModelParams, backward_batch, bce_from_logits,
-                    forward_batch, init_params)
+from .ingest import SAMPLE_EVERY, FrameRecord, VruTruth, check_json_numbers
+from .model import (WEIGHT_DTYPES, ModelConfig, ModelParams, backward_batch,
+                    bce_from_logits, forward_batch, init_params)
 from .optim import AdamWConfig, AdamWState, PlateauScheduler, adamw_step, clip_gradients
 from .pipeline import Pipeline
 
@@ -64,10 +63,6 @@ class Metrics:
     precision: Optional[float]
     recall: Optional[float]
     f1: Optional[float]
-
-    def to_dict(self) -> dict:
-        return {"accuracy": self.accuracy, "precision": self.precision,
-                "recall": self.recall, "f1": self.f1}
 
 
 def metrics(c: ConfusionCounts) -> Metrics:
@@ -207,14 +202,28 @@ class TrainConfig:
     weight_decay: float = 1e-4
     clip_norm: float = 1.0
     seed: int = 0
-    d_h: int = 256
-    d_ff: int = 512
-    n_heads: int = 2
-    dropout: float = 0.5
-    pooling: str = "mean"
+    d_h: int = ModelConfig.d_h
+    d_ff: int = ModelConfig.d_ff
+    n_heads: int = ModelConfig.n_heads
+    dropout: float = ModelConfig.dropout
+    pooling: str = ModelConfig.pooling
     plateau_threshold: float = 1e-4
     lr_floor: float = 1e-6
     dtype: str = "float32"  # training profile; gradient checks run in float64
+
+    def __post_init__(self):
+        check_json_numbers(vars(self), TrainConfig)
+        if not (self.epochs >= 1 and self.batch_size >= 1):
+            raise ValueError(f"epochs and batch_size must be at least 1, "
+                             f"got {self.epochs} and {self.batch_size}")
+        if not (self.lr > 0 and self.clip_norm > 0):
+            raise ValueError(f"lr and clip_norm must be > 0, got {self.lr} and {self.clip_norm}")
+        if not (self.weight_decay >= 0 and self.plateau_threshold >= 0 and self.lr_floor >= 0):
+            raise ValueError(f"weight_decay, plateau_threshold and lr_floor must be >= 0, got "
+                             f"{self.weight_decay}, {self.plateau_threshold} and {self.lr_floor}")
+        if self.dtype not in WEIGHT_DTYPES:
+            raise ValueError(f"dtype must be one of {WEIGHT_DTYPES}, got {self.dtype!r}")
+        self.model_config()  # checks the model fields
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":
@@ -224,8 +233,7 @@ class TrainConfig:
         return cls(**obj)
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(d_in=features.FEATURE_DIM, d_h=self.d_h,
-                           n_heads=self.n_heads, d_ff=self.d_ff,
+        return ModelConfig(d_h=self.d_h, n_heads=self.n_heads, d_ff=self.d_ff,
                            dropout=self.dropout, pooling=self.pooling)
 
 
@@ -244,7 +252,7 @@ class TrainResult:
         return {
             "best_epoch": self.best_epoch,
             "epochs_run": len(self.val_loss),
-            "test": self.test_metrics.to_dict(),
+            "test": asdict(self.test_metrics),
             "wall_clock_s": self.wall_clock_s,
         }
 
@@ -348,11 +356,6 @@ class ExperimentReport:
     wall_clock_s: float
     notes: str = ""
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "rows": self.rows, "seeds": self.seeds,
-                "dataset_hash": self.dataset_hash, "epochs": self.epochs,
-                "wall_clock_s": self.wall_clock_s, "notes": self.notes}
-
 
 GROUP_ORDER = ("L", "M", "G", "P")
 
@@ -372,7 +375,7 @@ def ablation(dataset: WindowDataset, cfg: TrainConfig,
         result = train(dataset.masked(keep), cfg)
         rows.append({"config": "+".join(active), "groups": list(active),
                      "masked_slots": int((~keep).sum()),
-                     **result.test_metrics.to_dict(),
+                     **asdict(result.test_metrics),
                      "best_epoch": result.best_epoch})
     return ExperimentReport(
         name="feature-ablation",
@@ -403,7 +406,7 @@ def head_sweep(dataset: WindowDataset, cfg: TrainConfig,
         result = train(dataset, replace(cfg, n_heads=nh))
         rows.append({"config": f"{nh}-head", "n_heads": nh,
                      "n_params": result.params.n_params(),
-                     **result.test_metrics.to_dict(),
+                     **asdict(result.test_metrics),
                      "best_epoch": result.best_epoch})
     rows.append({"config": "2-head reference", "source": "paper, private dataset",
                  **REFERENCE_TWO_HEAD})

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
@@ -34,16 +34,6 @@ class ZoneType(Enum):
 MIN_FRAME_SIDE = 1.0      # px
 MIN_PX_PER_METER = 1e-3
 MAX_FPS = 1000
-
-
-# Resolution order when zones overlap: a VRU on a crosswalk is crossing
-# no matter what else contains the point.
-ZONE_PRIORITY = {
-    ZoneType.OUTSIDE: 0,
-    ZoneType.WAITING: 1,
-    ZoneType.START_CROSSING: 2,
-    ZoneType.CROSSING: 3,
-}
 
 
 @dataclass(frozen=True)
@@ -150,10 +140,6 @@ def _reject_box(poly: Polygon) -> tuple[float, float, float, float]:
     return (x0 - mx, min(ys) - _EPS, x1 + mx, max(ys) + _EPS)
 
 
-_CONFIG_KEYS = ("fps", "px_per_meter", "frame_size", "crop_rect", "waiting_areas",
-                "start_crossing_zones", "crossing_zones", "crosswalk_entries")
-
-
 def _refuse_unknown_keys(obj: dict, known: Sequence[str], where: str) -> None:
     unknown = sorted(set(obj) - set(known))
     if unknown:
@@ -211,7 +197,9 @@ class IntersectionGeometry:
         object.__setattr__(self, "frame_diagonal",
                            math.hypot(self.frame_size[0], self.frame_size[1]))
         # Per-zone constants for the per-frame queries. They are not fields, so
-        # equality, to_dict and the config file do not see them.
+        # equality, to_dict and the config file do not see them. The tiers are
+        # the resolution order when zones overlap: a VRU on a crosswalk is
+        # crossing no matter what else contains the point.
         tiers = ((self.crossing_zones, ZoneType.CROSSING),
                  (self.start_crossing_zones, ZoneType.START_CROSSING),
                  (self.waiting_areas, ZoneType.WAITING))
@@ -282,7 +270,7 @@ class IntersectionGeometry:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "IntersectionGeometry":
-        _refuse_unknown_keys(cfg, _CONFIG_KEYS, "geometry")
+        _refuse_unknown_keys(cfg, [f.name for f in fields(cls) if f.init], "geometry")
 
         def zones(key: str) -> tuple[Zone, ...]:
             out = []

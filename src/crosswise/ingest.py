@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
@@ -162,6 +162,18 @@ def _record_to_obj(rec: FrameRecord) -> dict:
     }
 
 
+def check_json_numbers(values: dict, cls) -> None:
+    """Raise ValueError unless each value in ``values`` for an ``int`` field of
+    the dataclass ``cls`` is a JSON integer, and each for a ``float`` field a
+    JSON number: never a bool or a string, which Python would coerce."""
+    for f in fields(cls):
+        if f.name in values and f.type in ("int", "float"):
+            value = values[f.name]
+            if type(value) not in (_JSON_NUMBER if f.type == "float" else (int,)):
+                kind = "integer" if f.type == "int" else "number"
+                raise ValueError(f"{f.name} must be a JSON {kind}, got {value!r}")
+
+
 def _json_int(obj: dict, key: str) -> int:
     value = obj[key]
     # bool is an int subclass; a float or a string would be truncated or coerced
@@ -306,20 +318,15 @@ class ScenarioSpec:
         unknown = sorted(set(obj) - set(cls.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown scenario keys {unknown}")
-        for key in ("n_vrus", "seed", "max_concurrent"):
-            if key in obj and type(obj[key]) is not int:
-                raise ValueError(f"{key} must be a JSON integer, got {obj[key]!r}")
-        return cls(
-            n_vrus=obj["n_vrus"],
-            class_mix={k: float(v) for k, v in obj.get(
-                "class_mix", {"pedestrian": 1.0}).items()},
-            label=obj.get("label"),
-            noise_sigma=float(obj.get("noise_sigma", 0.0)),
-            dropout=float(obj.get("dropout", 0.0)),
-            condition=obj.get("condition", "day"),
-            seed=obj.get("seed", 0),
-            max_concurrent=obj.get("max_concurrent", 6),
-        )
+        check_json_numbers(obj, cls)
+        mix = obj.get("class_mix")
+        if mix is not None and (type(mix) is not dict
+                                or not _JSON_NUMBER.issuperset(map(type, mix.values()))):
+            raise ValueError(f"class_mix must be a JSON object of numbers, got {mix!r}")
+        try:
+            return cls(**obj)
+        except TypeError as exc:  # a required key is missing
+            raise ValueError(f"scenario: {exc}") from exc
 
     @classmethod
     def load(cls, path: str | Path) -> "ScenarioSpec":

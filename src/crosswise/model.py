@@ -27,6 +27,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterator, Optional
 
 import numpy as np
@@ -34,7 +35,7 @@ import numpy as np
 from .features import FEATURE_DIM, LAYOUT_HASH, FeatureWindow
 
 WEIGHT_FILE_VERSION = 2
-_WEIGHT_DTYPES = ("float32", "float64")
+WEIGHT_DTYPES = ("float32", "float64")
 
 
 class ModelError(ValueError):
@@ -66,48 +67,11 @@ class ModelConfig:
             raise ModelError("dropout must be in [0, 1)")
 
 
-@dataclass
-class GruLayerParams:
-    w_z: np.ndarray
-    w_r: np.ndarray
-    w_h: np.ndarray
-    u_z: np.ndarray
-    u_r: np.ndarray
-    u_h: np.ndarray
-    b_z: np.ndarray
-    b_r: np.ndarray
-    b_h: np.ndarray
-
-
-@dataclass
-class AttentionParams:
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-    w_o: np.ndarray
-    w_ff1: np.ndarray
-    b_ff1: np.ndarray
-    w_ff2: np.ndarray
-    b_ff2: np.ndarray
-    ln1_gain: np.ndarray
-    ln1_bias: np.ndarray
-    ln2_gain: np.ndarray
-    ln2_bias: np.ndarray
-    n_heads: int = 2
-
-
-@dataclass
-class HeadParams:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-
 @functools.lru_cache(maxsize=None)
 def _layout(config: ModelConfig) -> tuple[tuple, int]:
     """The one list of parameter tensors: ((name, shape, start, stop), ...) in
-    flat-buffer order, and the buffer size. Field order matches the dataclasses."""
+    flat-buffer order, and the buffer size. A name is ``owner.attr``: the
+    tensor is ``params.<owner>.<attr>``, with ``gru0``/``gru1`` as ``gru[i]``."""
     d, dm, dff = config.d_in, config.d_h, config.d_ff
     shapes = []
     for i, d_in in enumerate((d, dm)):
@@ -132,21 +96,19 @@ def _layout(config: ModelConfig) -> tuple[tuple, int]:
 class ModelParams:
     """All parameters in one contiguous 1-D buffer, ordered by ``_layout``.
 
-    ``gru``, ``attn`` and ``head`` are views into ``flat``, so writes through
-    them (or through ``named_tensors``) land in the buffer.
+    ``gru`` (one view per layer), ``attn`` and ``head`` hold views into
+    ``flat``, named as in ``_layout``, so writes through them (or through
+    ``named_tensors``) land in the buffer. ``attn.n_heads`` is
+    ``config.n_heads``.
     """
 
     config: ModelConfig
     flat: np.ndarray
-    layout_hash: str = LAYOUT_HASH
-    gru: list[GruLayerParams] = field(init=False, repr=False)
-    attn: AttentionParams = field(init=False, repr=False)
-    head: HeadParams = field(init=False, repr=False)
+    gru: list[SimpleNamespace] = field(init=False, repr=False)
+    attn: SimpleNamespace = field(init=False, repr=False)
+    head: SimpleNamespace = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.layout_hash != LAYOUT_HASH:
-            raise LayoutMismatchError(
-                f"weights built for layout {self.layout_hash}, code has {LAYOUT_HASH}")
         size = _layout(self.config)[1]
         if self.flat.shape != (size,) or not self.flat.flags.c_contiguous:
             raise ModelError(f"parameter buffer must be contiguous ({size},), "
@@ -155,9 +117,9 @@ class ModelParams:
         for name, tensor in self.named_tensors():
             owner, attr = name.split(".")
             groups.setdefault(owner, {})[attr] = tensor
-        self.gru = [GruLayerParams(**groups["gru0"]), GruLayerParams(**groups["gru1"])]
-        self.attn = AttentionParams(**groups["attn"], n_heads=self.config.n_heads)
-        self.head = HeadParams(**groups["head"])
+        self.gru = [SimpleNamespace(**groups["gru0"]), SimpleNamespace(**groups["gru1"])]
+        self.attn = SimpleNamespace(**groups["attn"], n_heads=self.config.n_heads)
+        self.head = SimpleNamespace(**groups["head"])
 
     def named_tensors(self) -> Iterator[tuple[str, np.ndarray]]:
         for name, shape, start, stop in _layout(self.config)[0]:
@@ -167,10 +129,10 @@ class ModelParams:
         return self.flat.size
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.config, self.flat.copy(), self.layout_hash)
+        return ModelParams(self.config, self.flat.copy())
 
     def astype(self, dtype) -> "ModelParams":
-        return ModelParams(self.config, self.flat.astype(dtype), self.layout_hash)
+        return ModelParams(self.config, self.flat.astype(dtype))
 
 
 @dataclass(frozen=True)
@@ -273,7 +235,7 @@ def _outer_grad(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     return a.reshape(bt, a.shape[2]).T @ d.reshape(bt, d.shape[2])
 
 
-def _gru_layer_forward(seq, layer: GruLayerParams):
+def _gru_layer_forward(seq, layer):
     b, t_len, _ = seq.shape
     dm = layer.u_z.shape[0]
     # input-side projections for all steps at once; the loop only carries h
@@ -294,7 +256,7 @@ def _gru_layer_forward(seq, layer: GruLayerParams):
     return hs, (seq, steps)
 
 
-def _mha_forward(h_seq, attn: AttentionParams):
+def _mha_forward(h_seq, attn):
     b, t_len, dm = h_seq.shape
     nh = attn.n_heads
     dk = dm // nh
@@ -312,7 +274,7 @@ def _mha_forward(h_seq, attn: AttentionParams):
     return out, {"h": h_seq, "qh": qh, "kh": kh, "vh": vh, "a": a, "o": o, "dk": dk}
 
 
-def _encoder_forward(h_seq, attn: AttentionParams, rate: float,
+def _encoder_forward(h_seq, attn, rate: float,
                      rng: Optional[np.random.Generator]):
     attn_out, mha_cache = _mha_forward(h_seq, attn)
     m_attn = _dropout_mask(rng, attn_out.shape, rate, h_seq.dtype)
@@ -384,7 +346,7 @@ def forward_batch(x: np.ndarray, params: ModelParams, mode: str = "infer",
 # backward pass and reuses or drops each large intermediate once read.
 
 
-def _gru_layer_infer(seq, layer: GruLayerParams) -> np.ndarray:
+def _gru_layer_infer(seq, layer) -> np.ndarray:
     b, t_len, d = seq.shape
     dm = layer.u_z.shape[0]
     rows = seq.reshape(b * t_len, d)
@@ -464,7 +426,7 @@ def _zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(t) for name, t in params.named_tensors()}
 
 
-def _gru_layer_backward(d_hs, layer_cache, layer: GruLayerParams, grads, prefix: str):
+def _gru_layer_backward(d_hs, layer_cache, layer, grads, prefix: str):
     seq, steps = layer_cache
     b, t_len, dm = d_hs.shape
     # pre-activation deltas are collected per step, then every weight gradient
@@ -503,7 +465,7 @@ def _gru_layer_backward(d_hs, layer_cache, layer: GruLayerParams, grads, prefix:
             + _flat_gemm(da_h, layer.w_h.T))
 
 
-def _mha_backward(d_out, cache, attn: AttentionParams, grads):
+def _mha_backward(d_out, cache, attn, grads):
     h_seq, qh, kh, vh, a, o = (cache["h"], cache["qh"], cache["kh"],
                                cache["vh"], cache["a"], cache["o"])
     b, t_len, dm = h_seq.shape
@@ -595,7 +557,7 @@ def params_to_json_bytes(params: ModelParams) -> bytes:
     little_endian = flat.astype(flat.dtype.newbyteorder("<"), copy=False)
     obj = {
         "version": WEIGHT_FILE_VERSION,
-        "layout_hash": params.layout_hash,
+        "layout_hash": LAYOUT_HASH,
         "config": {**asdict(params.config), "dtype": flat.dtype.name},
         "flat": base64.b64encode(little_endian.tobytes()).decode("ascii"),
     }
@@ -625,8 +587,11 @@ def load_params(path: str | Path) -> ModelParams:
         raw = base64.b64decode(obj.pop("flat").encode("ascii"), validate=True)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed weight file: {exc!r}") from exc
-    if dtype_name not in _WEIGHT_DTYPES:
-        raise ModelError(f"weight file dtype {dtype_name!r} is not one of {_WEIGHT_DTYPES}")
+    if layout_hash != LAYOUT_HASH:
+        raise LayoutMismatchError(
+            f"weights built for layout {layout_hash}, code has {LAYOUT_HASH}")
+    if dtype_name not in WEIGHT_DTYPES:
+        raise ModelError(f"weight file dtype {dtype_name!r} is not one of {WEIGHT_DTYPES}")
     dtype = np.dtype(dtype_name)
     size = _layout(config)[1]
     if len(raw) != size * dtype.itemsize:
@@ -636,4 +601,4 @@ def load_params(path: str | Path) -> ModelParams:
     flat = np.frombuffer(raw, dtype.newbyteorder("<")).astype(dtype)
     if not np.isfinite(flat).all():
         raise ModelError("weight buffer holds a non-finite value")
-    return ModelParams(config, flat, layout_hash)
+    return ModelParams(config, flat)

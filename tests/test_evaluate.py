@@ -230,6 +230,18 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=r"\['epoch', 'n_head'\]"):
             TrainConfig.from_dict({"n_head": 4, "epoch": 3})
 
+    @pytest.mark.parametrize("obj,match", [
+        ({"epochs": 2.5}, "epochs"), ({"epochs": 0}, "epochs"), ({"seed": True}, "seed"),
+        ({"batch_size": 0}, "batch_size"), ({"lr": "0.1"}, "lr"), ({"lr": 0}, "lr"),
+        ({"clip_norm": -1.0}, "clip_norm"), ({"weight_decay": -1e-4}, "weight_decay"),
+        ({"lr_floor": float("nan")}, "lr_floor"), ({"dtype": "float16"}, "dtype"),
+        ({"d_h": 255}, "d_h"), ({"n_heads": False}, "n_heads"),
+        ({"dropout": "0.5"}, "dropout"), ({"pooling": "max"}, "pooling")])
+    def test_bad_values_refused_at_load(self, obj, match):
+        # each would otherwise fail only inside train(), after the split and init
+        with pytest.raises(ValueError, match=match):
+            TrainConfig.from_dict(obj)
+
 
 class TestTrain:
     def test_learns_planted_signal(self):

@@ -281,6 +281,24 @@ class TestScenarioSpecFile:
         with pytest.raises(ValueError, match=key):
             ScenarioSpec.from_dict({"n_vrus": 3, key: value})
 
+    @pytest.mark.parametrize("key,value", [("noise_sigma", "2"), ("dropout", True),
+                                           ("class_mix", {"pedestrian": "1"}),
+                                           ("class_mix", [["pedestrian", 1.0]])])
+    def test_number_fields_must_be_json_numbers(self, key, value):
+        # as in the stream, a string or a bool is refused, not coerced
+        with pytest.raises(ValueError, match=key):
+            ScenarioSpec.from_dict({"n_vrus": 3, key: value})
+
+    def test_string_numbers_not_coerced(self):
+        # this spec once loaded as noise 2.0 and mix 1.0
+        with pytest.raises(ValueError, match="noise_sigma"):
+            ScenarioSpec.from_dict({"n_vrus": 3, "noise_sigma": "2",
+                                    "class_mix": {"pedestrian": "1"}})
+
+    def test_missing_n_vrus_refused(self):
+        with pytest.raises(ValueError, match="n_vrus"):
+            ScenarioSpec.from_dict({"seed": 1})
+
 
 class TestGenerator:
     def test_single_vru_terminates_in_labeled_crossing(self, geometry):

@@ -121,6 +121,34 @@ class TestCrossingMonitoring:
         assert ctx.state == TrackState.CROSSING
         assert crossing_frames == [entry]
 
+    def test_pose_on_crop_never_binds_to_crossing_track(self):
+        # The demo crop holds no crossing zone, and the generator emits no pose
+        # for a crossing VRU. This crop also covers the start of cross_a, and a
+        # pose is added at each sampled center past crossing entry that lies on
+        # it, so only the zone filter of merge_pose keeps these poses off.
+        geometry = replace(demo_geometry(), crop_rect=(380.0, 380.0, 340.0, 200.0))
+        records, truths = generate_scenario(ScenarioSpec(n_vrus=8, seed=24), geometry)
+        cx0, cy0, cw, ch = geometry.crop_rect
+        template = next(p for rec in records for p in rec.crop_poses)
+        px, py = template.center
+        added = {}
+        for t in truths:
+            for f, x, y in t.samples:
+                if (t.crossing_entry_frame is not None and f > t.crossing_entry_frame
+                        and cx0 <= x <= cx0 + cw and cy0 <= y <= cy0 + ch):
+                    added.setdefault(f, []).append(
+                        template.translated(x - cx0 - px, y - cy0 - py))
+        assert added
+        pipe = Pipeline(geometry, params=None)
+        binds = []
+        for rec in records:
+            if rec.frame_idx in added:
+                rec = replace(rec, crop_poses=(*rec.crop_poses, *added[rec.frame_idx]))
+            before = poses_by_track(pipe)
+            pipe.step(rec)
+            binds.extend(crossing_pose_binds(pipe, before))
+        assert binds == []
+
     def test_state_progression(self, geometry):
         spec = ScenarioSpec(n_vrus=1, label="B", seed=22)
         records, _ = generate_scenario(spec, geometry)
