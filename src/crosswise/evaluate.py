@@ -19,8 +19,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .features import FeatureWindow, mask_for_groups
-from .geom import IntersectionGeometry
-from .ingest import SAMPLE_EVERY, FrameRecord, VruTruth, check_json_numbers
+from .geom import IntersectionGeometry, check_json_numbers, refuse_unknown_keys
+from .ingest import SAMPLE_EVERY, FrameRecord, VruTruth
 from .model import (WEIGHT_DTYPES, ModelConfig, ModelParams, backward_batch,
                     bce_from_logits, forward_batch, init_params)
 from .optim import AdamWConfig, AdamWState, PlateauScheduler, adamw_step, clip_gradients
@@ -227,9 +227,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":
-        unknown = sorted(set(obj) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise ValueError(f"unknown train config keys {unknown}")
+        refuse_unknown_keys(obj, cls.__dataclass_fields__, "train config")
         return cls(**obj)
 
     def model_config(self) -> ModelConfig:

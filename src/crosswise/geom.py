@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 Point = tuple[float, float]
 Polygon = Sequence[Point]
@@ -140,10 +140,43 @@ def _reject_box(poly: Polygon) -> tuple[float, float, float, float]:
     return (x0 - mx, min(ys) - _EPS, x1 + mx, max(ys) + _EPS)
 
 
-def _refuse_unknown_keys(obj: dict, known: Sequence[str], where: str) -> None:
+# --- config-file checks, shared by every JSON config the package reads ----------
+
+JSON_NUMBER = frozenset((int, float))  # what json.loads gives for a number; not bool
+
+
+def refuse_unknown_keys(obj: dict, known: Iterable[str], what: str,
+                        error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming the keys of ``obj`` that are not in ``known``."""
     unknown = sorted(set(obj) - set(known))
     if unknown:
-        raise GeometryError(f"unknown {where} config keys {unknown}")
+        raise error(f"unknown {what} keys {unknown}")
+
+
+def check_json_number(value, key: str, integer: bool = False,
+                      error: type[ValueError] = ValueError):
+    """``value`` if it is a JSON integer (``integer``) or a JSON number, else
+    raise ``error`` naming ``key``: never a bool or a string, which int() and
+    float() would coerce."""
+    if type(value) not in ((int,) if integer else JSON_NUMBER):
+        kind = "integer" if integer else "number"
+        raise error(f"{key} must be a JSON {kind}, got {value!r}")
+    return value
+
+
+def check_json_numbers(values: dict, cls) -> None:
+    """check_json_number on each value in ``values`` for an ``int`` or
+    ``float`` field of the dataclass ``cls``."""
+    for f in fields(cls):
+        if f.name in values and f.type in ("int", "float"):
+            check_json_number(values[f.name], f.name, f.type == "int")
+
+
+def _json_floats(values, key: str, n: int) -> tuple[float, ...]:
+    """A geometry value of n JSON numbers as floats."""
+    if type(values) is not list or len(values) != n:
+        raise GeometryError(f"{key} must hold {n} JSON numbers, got {values!r}")
+    return tuple(float(check_json_number(v, key, error=GeometryError)) for v in values)
 
 
 @dataclass(frozen=True)
@@ -270,32 +303,38 @@ class IntersectionGeometry:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "IntersectionGeometry":
-        _refuse_unknown_keys(cfg, [f.name for f in fields(cls) if f.init], "geometry")
+        """The geometry of a JSON config. Every coordinate, size and scale must
+        be a JSON number and ``fps`` a JSON integer; a value of another type,
+        or an unknown key, raises GeometryError naming the key."""
+        refuse_unknown_keys(cfg, [f.name for f in fields(cls) if f.init],
+                            "geometry config", GeometryError)
 
         def zones(key: str) -> tuple[Zone, ...]:
             out = []
             for item in cfg.get(key, []):
-                _refuse_unknown_keys(item, ("id", "label", "polygon"), f"{key} zone")
+                refuse_unknown_keys(item, ("id", "label", "polygon"), f"{key} zone config",
+                                    GeometryError)
                 out.append(Zone(
                     zone_id=str(item["id"]),
-                    polygon=tuple((float(x), float(y)) for x, y in item["polygon"]),
+                    polygon=tuple(_json_floats(q, f"{key} polygon", 2) for q in item["polygon"]),
                     label=item.get("label"),
                 ))
             return tuple(out)
 
-        entries = {k: (float(v[0]), float(v[1]))
+        entries = {k: _json_floats(v, f"crosswalk_entries {k}", 2)
                    for k, v in cfg["crosswalk_entries"].items()}
-        frame_size = cfg.get("frame_size")
+        px_per_meter, frame_size = cfg.get("px_per_meter"), cfg.get("frame_size")
         return cls(
             waiting_areas=zones("waiting_areas"),
             start_crossing_zones=zones("start_crossing_zones"),
             crossing_zones=zones("crossing_zones"),
             crosswalk_entries=entries,
-            crop_rect=tuple(float(v) for v in cfg["crop_rect"]),
-            fps=int(cfg["fps"]),
-            px_per_meter=(float(cfg["px_per_meter"])
-                          if cfg.get("px_per_meter") is not None else None),
-            frame_size=(tuple(float(v) for v in frame_size)
+            crop_rect=_json_floats(cfg["crop_rect"], "crop_rect", 4),
+            fps=check_json_number(cfg["fps"], "fps", integer=True, error=GeometryError),
+            px_per_meter=(float(check_json_number(px_per_meter, "px_per_meter",
+                                                  error=GeometryError))
+                          if px_per_meter is not None else None),
+            frame_size=(_json_floats(frame_size, "frame_size", 2)
                         if frame_size else (0.0, 0.0)),
         )
 

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .geom import IntersectionGeometry, point_in_polygon
+from .geom import (JSON_NUMBER, IntersectionGeometry, check_json_number, check_json_numbers,
+                   point_in_polygon, refuse_unknown_keys)
 
 VRU_CLASSES = ("pedestrian", "cyclist", "scooter", "e_scooter", "e_wheelchair")
 CONDITIONS = ("day", "night", "rain")
@@ -32,7 +33,6 @@ KP_NOSE, KP_LEFT_SHOULDER, KP_RIGHT_SHOULDER = 0, 5, 6
 # float32 too, for a geometry of camera scale (see README, stream format).
 COORD_LIMIT = 1e7      # |x| and |y| of a bbox or keypoint; bbox w and h
 MIN_BBOX_SIDE = 1e-3   # bbox w and h
-_JSON_NUMBER = frozenset((int, float))  # what json.loads gives for a number; not bool
 
 
 class StreamFormatError(ValueError):
@@ -162,26 +162,6 @@ def _record_to_obj(rec: FrameRecord) -> dict:
     }
 
 
-def check_json_numbers(values: dict, cls) -> None:
-    """Raise ValueError unless each value in ``values`` for an ``int`` field of
-    the dataclass ``cls`` is a JSON integer, and each for a ``float`` field a
-    JSON number: never a bool or a string, which Python would coerce."""
-    for f in fields(cls):
-        if f.name in values and f.type in ("int", "float"):
-            value = values[f.name]
-            if type(value) not in (_JSON_NUMBER if f.type == "float" else (int,)):
-                kind = "integer" if f.type == "int" else "number"
-                raise ValueError(f"{f.name} must be a JSON {kind}, got {value!r}")
-
-
-def _json_int(obj: dict, key: str) -> int:
-    value = obj[key]
-    # bool is an int subclass; a float or a string would be truncated or coerced
-    if type(value) is not int:
-        raise ValueError(f"{key} must be a JSON integer, got {value!r}")
-    return value
-
-
 def _json_list(obj: dict, key: str) -> list:
     value = obj.get(key, [])
     if type(value) is not list:
@@ -194,7 +174,7 @@ def _stream_bbox(value, what: str) -> tuple[float, float, float, float]:
     if type(value) is not list:
         raise ValueError(f"{what} bbox must be a JSON list of 4 values (x, y, w, h): "
                          f"{value!r}")
-    if not _JSON_NUMBER.issuperset(map(type, value)):
+    if not JSON_NUMBER.issuperset(map(type, value)):
         raise ValueError(f"{what} bbox values must be JSON numbers: {value!r}")
     _check_bbox(value, what)
     x, y, w, h = value
@@ -204,7 +184,7 @@ def _stream_bbox(value, what: str) -> tuple[float, float, float, float]:
 def _stream_detection(d) -> Detection:
     bbox = _stream_bbox(d["bbox"], "detection")
     conf, vru_class = d["conf"], d["class"]
-    if type(conf) not in _JSON_NUMBER or not 0 <= conf <= 1:
+    if type(conf) not in JSON_NUMBER or not 0 <= conf <= 1:
         raise ValueError(f"detection conf must be a JSON number in [0,1], got {conf!r}")
     if vru_class not in VRU_CLASSES:
         raise ValueError(f"unknown VRU class {vru_class!r}")
@@ -220,7 +200,7 @@ def _stream_poses(items: list) -> tuple[PoseDetection, ...]:
     per_pose = [p["kps"] for p in items]
     rows = list(chain.from_iterable(per_pose))
     values = list(chain.from_iterable(rows))
-    if not _JSON_NUMBER.issuperset(map(type, values)):
+    if not JSON_NUMBER.issuperset(map(type, values)):
         raise ValueError("keypoint values must be JSON numbers")
     # a total of n * k with no part longer than k: every part has length k
     if (len(rows) != N_KEYPOINTS * len(per_pose) or max(map(len, per_pose)) != N_KEYPOINTS
@@ -239,7 +219,8 @@ def _record_from_obj(obj, line_no: int) -> FrameRecord:
     try:
         dets = tuple(map(_stream_detection, _json_list(obj, "dets")))
         poses = _stream_poses(_json_list(obj, "poses"))
-        return FrameRecord(_json_int(obj, "frame"), _json_int(obj, "ts_ms"), dets, poses)
+        return FrameRecord(check_json_number(obj["frame"], "frame", integer=True),
+                           check_json_number(obj["ts_ms"], "ts_ms", integer=True), dets, poses)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StreamFormatError(line_no, str(exc)) from exc
 
@@ -315,13 +296,11 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ScenarioSpec":
-        unknown = sorted(set(obj) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise ValueError(f"unknown scenario keys {unknown}")
+        refuse_unknown_keys(obj, cls.__dataclass_fields__, "scenario")
         check_json_numbers(obj, cls)
         mix = obj.get("class_mix")
         if mix is not None and (type(mix) is not dict
-                                or not _JSON_NUMBER.issuperset(map(type, mix.values()))):
+                                or not JSON_NUMBER.issuperset(map(type, mix.values()))):
             raise ValueError(f"class_mix must be a JSON object of numbers, got {mix!r}")
         try:
             return cls(**obj)

@@ -57,7 +57,9 @@ class ModelConfig:
 
     def __post_init__(self):
         dims = (self.d_in, self.d_h, self.n_heads, self.d_ff)
-        if not all(isinstance(v, (int, np.integer)) and v > 0 for v in dims):
+        # bool is an int subclass; a weight file's "n_heads": true is no count
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0
+                   for v in dims):
             raise ModelError(f"d_in, d_h, n_heads, d_ff must be positive integers: {dims}")
         if self.d_h % self.n_heads != 0:
             raise ModelError(f"d_h={self.d_h} not divisible by n_heads={self.n_heads}")
@@ -422,15 +424,13 @@ def bce_from_logits(logits: np.ndarray, y: np.ndarray) -> float:
 # --- backward -----------------------------------------------------------------
 
 
-def _zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(t) for name, t in params.named_tensors()}
-
-
-def _gru_layer_backward(d_hs, layer_cache, layer, grads, prefix: str):
-    seq, steps = layer_cache
+def _gru_layer_backward(d_hs, seq, steps, layer, grads, prefix: str):
+    """Weight gradients of one GRU layer into ``grads``. Pops ``steps`` empty
+    and returns the pre-activation deltas (da_z, da_r, da_h), from which a
+    caller that needs the input gradient takes it."""
     b, t_len, dm = d_hs.shape
     # pre-activation deltas are collected per step, then every weight gradient
-    # and the input gradient reduce to one GEMM over the flattened batch*time
+    # (and the caller's input gradient) reduces to one GEMM over batch*time
     da_z = np.empty((b, t_len, dm), dtype=d_hs.dtype)
     da_r = np.empty((b, t_len, dm), dtype=d_hs.dtype)
     da_h = np.empty((b, t_len, dm), dtype=d_hs.dtype)
@@ -438,7 +438,7 @@ def _gru_layer_backward(d_hs, layer_cache, layer, grads, prefix: str):
     rhs = np.empty((b, t_len, dm), dtype=d_hs.dtype)
     dh_next = np.zeros((b, dm), dtype=d_hs.dtype)
     for t in reversed(range(t_len)):
-        h_prev, z, r, rh, g = steps[t]
+        h_prev, z, r, rh, g = steps.pop()
         dh = d_hs[:, t, :] + dh_next
         dg = dh * z
         ah = dg * (1.0 - g * g)
@@ -452,100 +452,124 @@ def _gru_layer_backward(d_hs, layer_cache, layer, grads, prefix: str):
         da_h[:, t, :] = ah
         h_prevs[:, t, :] = h_prev
         rhs[:, t, :] = rh
-    grads[prefix + ".w_z"] += _outer_grad(seq, da_z)
-    grads[prefix + ".w_r"] += _outer_grad(seq, da_r)
-    grads[prefix + ".w_h"] += _outer_grad(seq, da_h)
-    grads[prefix + ".u_z"] += _outer_grad(h_prevs, da_z)
-    grads[prefix + ".u_r"] += _outer_grad(h_prevs, da_r)
-    grads[prefix + ".u_h"] += _outer_grad(rhs, da_h)
-    grads[prefix + ".b_z"] += da_z.sum(axis=(0, 1))
-    grads[prefix + ".b_r"] += da_r.sum(axis=(0, 1))
-    grads[prefix + ".b_h"] += da_h.sum(axis=(0, 1))
-    return (_flat_gemm(da_z, layer.w_z.T) + _flat_gemm(da_r, layer.w_r.T)
-            + _flat_gemm(da_h, layer.w_h.T))
+    grads[prefix + ".u_z"] = _outer_grad(h_prevs, da_z)
+    grads[prefix + ".u_r"] = _outer_grad(h_prevs, da_r)
+    del h_prevs
+    grads[prefix + ".u_h"] = _outer_grad(rhs, da_h)
+    del rhs
+    grads[prefix + ".w_z"] = _outer_grad(seq, da_z)
+    grads[prefix + ".w_r"] = _outer_grad(seq, da_r)
+    grads[prefix + ".w_h"] = _outer_grad(seq, da_h)
+    grads[prefix + ".b_z"] = da_z.sum(axis=(0, 1))
+    grads[prefix + ".b_r"] = da_r.sum(axis=(0, 1))
+    grads[prefix + ".b_h"] = da_h.sum(axis=(0, 1))
+    return da_z, da_r, da_h
 
 
 def _mha_backward(d_out, cache, attn, grads):
-    h_seq, qh, kh, vh, a, o = (cache["h"], cache["qh"], cache["kh"],
-                               cache["vh"], cache["a"], cache["o"])
-    b, t_len, dm = h_seq.shape
+    """Input gradient of ``_mha_forward``; pops ``cache`` as it reads it."""
+    b, t_len, dm = d_out.shape
     nh = attn.n_heads
     dk = cache["dk"]
     scale = 1.0 / math.sqrt(dk)
 
-    grads["attn.w_o"] += _outer_grad(o, d_out)
+    grads["attn.w_o"] = _outer_grad(cache.pop("o"), d_out)
     d_o = _flat_gemm(d_out, attn.w_o.T)
+    del d_out
     d_oh = d_o.reshape(b, t_len, nh, dk).transpose(0, 2, 1, 3)
-    d_a = d_oh @ vh.transpose(0, 1, 3, 2)
+    a = cache.pop("a")
+    d_a = d_oh @ cache.pop("vh").transpose(0, 1, 3, 2)
     d_vh = a.transpose(0, 1, 3, 2) @ d_oh
+    del d_o, d_oh
     d_scores = a * (d_a - (d_a * a).sum(axis=-1, keepdims=True))
-    d_qh = (d_scores @ kh) * scale
-    d_kh = (d_scores.transpose(0, 1, 3, 2) @ qh) * scale
+    del a, d_a
+    d_qh = (d_scores @ cache.pop("kh")) * scale
+    d_kh = (d_scores.transpose(0, 1, 3, 2) @ cache.pop("qh")) * scale
+    del d_scores
 
     d_q = np.ascontiguousarray(d_qh.transpose(0, 2, 1, 3)).reshape(b, t_len, dm)
+    del d_qh
     d_k = np.ascontiguousarray(d_kh.transpose(0, 2, 1, 3)).reshape(b, t_len, dm)
+    del d_kh
     d_v = np.ascontiguousarray(d_vh.transpose(0, 2, 1, 3)).reshape(b, t_len, dm)
-    grads["attn.w_q"] += _outer_grad(h_seq, d_q)
-    grads["attn.w_k"] += _outer_grad(h_seq, d_k)
-    grads["attn.w_v"] += _outer_grad(h_seq, d_v)
+    del d_vh
+    h_seq = cache.pop("h")
+    grads["attn.w_q"] = _outer_grad(h_seq, d_q)
+    grads["attn.w_k"] = _outer_grad(h_seq, d_k)
+    grads["attn.w_v"] = _outer_grad(h_seq, d_v)
+    del h_seq
     return (_flat_gemm(d_q, attn.w_q.T) + _flat_gemm(d_k, attn.w_k.T)
             + _flat_gemm(d_v, attn.w_v.T))
 
 
 def backward_batch(cache: dict, y: np.ndarray, params: ModelParams
                    ) -> dict[str, np.ndarray]:
-    """Exact gradients of the mean BCE loss for every parameter tensor."""
+    """Exact gradients of the mean BCE loss, one array per parameter tensor in
+    ``named_tensors()`` order.
+
+    Consumes the train-mode ``cache``: every cached activation and dropout
+    mask is popped at its last read, and every temporary dropped after its
+    last read, so a step's memory falls as the pass goes rather than holding
+    the whole cache to the end (a float32 step at B=64 peaks where its
+    forward does). Afterwards the cache holds only ``logit``, ``p`` and
+    ``mode``; read anything else from it before calling.
+    """
     if cache["mode"] != "train":
         raise ModelError("backward needs a train-mode forward cache")
-    grads = _zero_grads(params)
+    # keys in layout order: the global norm in clip_gradients sums over them
+    grads = dict.fromkeys(name for name, *_ in _layout(params.config)[0])
     p = cache["p"]
     b = p.shape[0]
     y = np.asarray(y, dtype=p.dtype).reshape(b)
 
     d_logit = (p - y) / b                                  # BCE through sigmoid
-    a1d, u1, pooled = cache["a1d"], cache["u1"], cache["pooled"]
-    grads["head.w2"] += a1d.T @ d_logit[:, None]
-    grads["head.b2"] += d_logit.sum(keepdims=True)
-    d_a1 = _apply_mask(d_logit[:, None] @ params.head.w2.T, cache["m_fc"])
-    d_u1 = d_a1 * (u1 > 0)
-    grads["head.w1"] += pooled.T @ d_u1
-    grads["head.b1"] += d_u1.sum(axis=0)
-    d_pooled = d_u1 @ params.head.w1.T
+    head = params.head
+    grads["head.w2"] = cache.pop("a1d").T @ d_logit[:, None]
+    grads["head.b2"] = d_logit.sum(keepdims=True)
+    d_a1 = _apply_mask(d_logit[:, None] @ head.w2.T, cache.pop("m_fc"))
+    d_u1 = d_a1 * (cache.pop("u1") > 0)
+    grads["head.w1"] = cache.pop("pooled").T @ d_u1
+    grads["head.b1"] = d_u1.sum(axis=0)
+    d_pooled = d_u1 @ head.w1.T
 
-    enc = cache["enc"]
-    t_len = enc.shape[1]
-    d_enc = np.zeros_like(enc)
+    d_enc = np.zeros_like(cache.pop("enc"))  # only its shape is read
     if params.config.pooling == "mean":
-        d_enc += d_pooled[:, None, :] / t_len
+        d_enc += d_pooled[:, None, :] / d_enc.shape[1]
     else:
         d_enc[:, -1, :] = d_pooled
 
-    ec = cache["enc_cache"]
+    ec = cache.pop("enc_cache")
     attn = params.attn
-    d_r2, dg2, db2 = _layer_norm_backward(d_enc, ec["xhat2"], ec["istd2"], attn.ln2_gain)
-    grads["attn.ln2_gain"] += dg2
-    grads["attn.ln2_bias"] += db2
-    d_n1 = d_r2.copy()
-    d_f_out = _apply_mask(d_r2, ec["m_ffn"])
-    grads["attn.w_ff2"] += _outer_grad(ec["fr"], d_f_out)
-    grads["attn.b_ff2"] += d_f_out.sum(axis=(0, 1))
-    d_fr = _flat_gemm(d_f_out, attn.w_ff2.T)
-    d_u = d_fr * (ec["u"] > 0)
-    grads["attn.w_ff1"] += _outer_grad(ec["n1"], d_u)
-    grads["attn.b_ff1"] += d_u.sum(axis=(0, 1))
+    # r2 = n1 + f_out: d_r2 is the first term of d_n1, summed into in place
+    d_n1, grads["attn.ln2_gain"], grads["attn.ln2_bias"] = _layer_norm_backward(
+        d_enc, ec.pop("xhat2"), ec.pop("istd2"), attn.ln2_gain)
+    del d_enc
+    d_f_out = _apply_mask(d_n1, ec.pop("m_ffn"))
+    grads["attn.w_ff2"] = _outer_grad(ec.pop("fr"), d_f_out)
+    grads["attn.b_ff2"] = d_f_out.sum(axis=(0, 1))
+    d_u = _flat_gemm(d_f_out, attn.w_ff2.T)
+    del d_f_out
+    d_u *= ec.pop("u") > 0
+    grads["attn.w_ff1"] = _outer_grad(ec.pop("n1"), d_u)
+    grads["attn.b_ff1"] = d_u.sum(axis=(0, 1))
     d_n1 += _flat_gemm(d_u, attn.w_ff1.T)
+    del d_u
 
-    d_r1, dg1, db1 = _layer_norm_backward(d_n1, ec["xhat1"], ec["istd1"], attn.ln1_gain)
-    grads["attn.ln1_gain"] += dg1
-    grads["attn.ln1_bias"] += db1
-    d_h2 = d_r1.copy()
-    d_attn_out = _apply_mask(d_r1, ec["m_attn"])
-    d_h2 += _mha_backward(d_attn_out, ec["mha"], attn, grads)
+    # and r1 = h2 + attn_out: d_r1 is the first term of d_h2
+    d_h2, grads["attn.ln1_gain"], grads["attn.ln1_bias"] = _layer_norm_backward(
+        d_n1, ec.pop("xhat1"), ec.pop("istd1"), attn.ln1_gain)
+    del d_n1
+    d_h2 += _mha_backward(_apply_mask(d_h2, ec.pop("m_attn")), ec.pop("mha"), attn, grads)
 
-    cache1, cache2, m_gru = cache["gru"]
-    d_h1d = _gru_layer_backward(d_h2, cache2, params.gru[1], grads, "gru1")
-    d_h1 = _apply_mask(d_h1d, m_gru)
-    _gru_layer_backward(d_h1, cache1, params.gru[0], grads, "gru0")
+    (x, steps0), (h1, steps1), m_gru = cache.pop("gru")
+    gru1 = params.gru[1]
+    da_z, da_r, da_h = _gru_layer_backward(d_h2, h1, steps1, gru1, grads, "gru1")
+    del d_h2, h1
+    d_h1 = _apply_mask(_flat_gemm(da_z, gru1.w_z.T) + _flat_gemm(da_r, gru1.w_r.T)
+                       + _flat_gemm(da_h, gru1.w_h.T), m_gru)
+    del da_z, da_r, da_h, m_gru
+    # layer 0's input is the data, so its input gradient is never formed
+    _gru_layer_backward(d_h1, x, steps0, params.gru[0], grads, "gru0")
     return grads
 
 

@@ -279,9 +279,9 @@ class TestTrain:
     def test_steps_do_not_overlap_in_memory(self):
         # 11 tracks train one full batch, 46 tracks four. With each step's
         # cache and gradients freed before the next forward, four steps peak
-        # where one does (39.31 against 39.07 MB); keeping the previous step's
-        # gradients alive through the next backward read 43.90 MB, one
-        # gradient buffer (4.6 MB) more.
+        # where one does (29.59 against 30.47 MB); keeping the previous step's
+        # gradients alive through the next step read 34.18 MB, one gradient
+        # buffer (4.6 MB) more.
         one_step, param_bytes = self.traced_peak(11)
         four_steps, _ = self.traced_peak(46)
         assert four_steps <= one_step + param_bytes / 2

@@ -338,6 +338,29 @@ class TestGeometryValidation:
             IntersectionGeometry.from_dict(cfg)
 
 
+    @pytest.mark.parametrize("key,value", [
+        ("fps", 20.9), ("fps", 20.0), ("fps", True), ("fps", "20"),
+        ("px_per_meter", "50"), ("px_per_meter", True),
+        ("crop_rect", [480.0, 380.0, 240.0, "200"]), ("crop_rect", [480.0, 380.0, 240.0]),
+        ("frame_size", [1280.0, False]), ("frame_size", "1280x720")])
+    def test_non_number_refused(self, geometry, key, value):
+        # int() and float() would load these as 20, 1, 50.0 or 200.0
+        cfg = json.loads(json.dumps(geometry.to_dict()))
+        cfg[key] = value
+        with pytest.raises(GeometryError, match=key):
+            IntersectionGeometry.from_dict(cfg)
+
+    @pytest.mark.parametrize("key", ["waiting_areas", "crossing_zones", "crosswalk_entries"])
+    @pytest.mark.parametrize("value", ["440", None, True])
+    def test_non_number_coordinate_refused(self, geometry, key, value):
+        cfg = json.loads(json.dumps(geometry.to_dict()))
+        point = (cfg[key]["A"] if key == "crosswalk_entries"
+                 else cfg[key][0]["polygon"][1])
+        point[0] = value
+        with pytest.raises(GeometryError, match=key):
+            IntersectionGeometry.from_dict(cfg)
+
+
 def test_polygon_area():
     assert polygon_area(UNIT_SQUARE) == 1.0
     assert polygon_area(((0, 0), (2, 0), (1, 3))) == pytest.approx(3.0)

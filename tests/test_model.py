@@ -459,6 +459,38 @@ class TestBackward:
         with pytest.raises(ModelError):
             backward_batch(cache, np.array([1.0]), params)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pooling,dropout", [("mean", 0.5), ("last", 0.0)])
+    def test_one_gradient_per_tensor(self, dtype, pooling, dropout):
+        cfg = ModelConfig(d_h=16, n_heads=2, d_ff=12, dropout=dropout, pooling=pooling)
+        params = init_params(cfg, seed=24, dtype=dtype)
+        x = np.random.default_rng(25).standard_normal((3, 5, FEATURE_DIM))
+        _, cache = forward_batch(x, params, mode="train", rng=np.random.default_rng(26))
+        grads = backward_batch(cache, np.array([1.0, 0.0, 1.0]), params)
+        # in layout order, which the global norm of clip_gradients sums in
+        assert list(grads) == [name for name, _ in params.named_tensors()]
+        for name, tensor in params.named_tensors():
+            assert type(grads[name]) is np.ndarray, name
+            assert (grads[name].shape, grads[name].dtype) == (tensor.shape, tensor.dtype), name
+        assert set(cache) == {"logit", "p", "mode"}  # the rest was consumed
+
+    def test_b64_float32_train_step_peak_allocation(self):
+        # 20.6e6 bytes while backward_batch held the whole train cache and a
+        # zero-filled gradient dict to its end; consuming the cache as it reads
+        # it leaves the forward's own peak (10.9e6) as the step's
+        params = init_params(ModelConfig(), seed=27, dtype=np.float32)
+        rng = np.random.default_rng(28)
+        x = rng.standard_normal((64, 5, FEATURE_DIM)).astype(np.float32)
+        y = (rng.random(64) < 0.5).astype(np.float32)
+        tracemalloc.start()
+        try:
+            _, cache = forward_batch(x, params, mode="train", rng=rng)
+            backward_batch(cache, y, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6
+
     def test_finite_differences_small_model(self):
         cfg = ModelConfig(d_in=6, d_h=8, n_heads=2, d_ff=10, dropout=0.5)
         params = init_params(cfg, seed=14)
@@ -612,7 +644,8 @@ class TestSerialization:
         with pytest.raises(ModelError, match="d_ff"):
             load_params(path)
 
-    @pytest.mark.parametrize("key,value", [("n_heads", 0), ("d_h", -16), ("d_ff", 2.5)])
+    @pytest.mark.parametrize("key,value", [("n_heads", 0), ("d_h", -16), ("d_ff", 2.5),
+                                           ("n_heads", True)])
     def test_bad_config_refused(self, tmp_path, key, value):
         _, path, obj = self.saved_obj(tmp_path)
         obj["config"][key] = value
@@ -648,6 +681,12 @@ class TestParameterBuffer:
         assert params.n_params() == 1146241
         assert params_digest(params) == \
             "9b38c2dda2e664b9092dd853c8c88cf4cdceb12e43b92c739a60f1a0f64e2d82"
+
+    @pytest.mark.parametrize("field", ["d_in", "d_h", "n_heads", "d_ff"])
+    @pytest.mark.parametrize("value", [True, np.True_])
+    def test_bool_dimension_refused(self, field, value):
+        with pytest.raises(ModelError, match="positive integers"):
+            ModelConfig(**{field: value})
 
     def test_wrong_buffer_size_refused(self):
         cfg = ModelConfig(d_in=4, d_h=4, n_heads=2, d_ff=4)
