@@ -207,9 +207,16 @@ class IntersectionGeometry:
         cx, cy, cw, ch = self.crop_rect
         if cw <= 0 or ch <= 0:
             raise GeometryError("crop_rect must have positive size")
-        for zone in (*self.waiting_areas, *self.start_crossing_zones, *self.crossing_zones):
-            if len(zone.polygon) < 3 or polygon_area(zone.polygon) <= 0.0:
-                raise GeometryError(f"zone {zone.zone_id!r} polygon is degenerate")
+        for key in ("waiting_areas", "start_crossing_zones", "crossing_zones"):
+            for zone in getattr(self, key):
+                if type(zone.zone_id) is not str:
+                    raise GeometryError(f"{key} zone id must be a string, got {zone.zone_id!r}")
+                # a start zone's label is the crosswalk its fast-path alerts name
+                if zone.label not in (None, "A", "B"):
+                    raise GeometryError(f"{key} zone {zone.zone_id!r} label must be null, "
+                                        f"'A' or 'B', got {zone.label!r}")
+                if len(zone.polygon) < 3 or polygon_area(zone.polygon) <= 0.0:
+                    raise GeometryError(f"zone {zone.zone_id!r} polygon is degenerate")
         for zone in self.waiting_areas:
             for (px, py) in zone.polygon:
                 if not (cx <= px <= cx + cw and cy <= py <= cy + ch):
@@ -219,9 +226,9 @@ class IntersectionGeometry:
         if labels != ["A", "B"]:
             raise GeometryError(
                 f"crossing zones must carry labels A and B, got {labels}")
-        for letter in ("A", "B"):
-            if letter not in self.crosswalk_entries:
-                raise GeometryError(f"missing crosswalk entry {letter!r}")
+        if set(self.crosswalk_entries) != {"A", "B"}:
+            raise GeometryError(f"crosswalk_entries must have the keys A and B, "
+                                f"got {list(self.crosswalk_entries)}")
         if self.frame_size == (0.0, 0.0):
             object.__setattr__(self, "frame_size", self._default_frame_size())
         if not (self.frame_size[0] >= MIN_FRAME_SIDE and self.frame_size[1] >= MIN_FRAME_SIDE):
@@ -315,7 +322,7 @@ class IntersectionGeometry:
                 refuse_unknown_keys(item, ("id", "label", "polygon"), f"{key} zone config",
                                     GeometryError)
                 out.append(Zone(
-                    zone_id=str(item["id"]),
+                    zone_id=item["id"],
                     polygon=tuple(_json_floats(q, f"{key} polygon", 2) for q in item["polygon"]),
                     label=item.get("label"),
                 ))

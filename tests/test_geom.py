@@ -360,6 +360,36 @@ class TestGeometryValidation:
         with pytest.raises(GeometryError, match=key):
             IntersectionGeometry.from_dict(cfg)
 
+    @pytest.mark.parametrize("key,attr,value", [
+        ("start_crossing_zones", "label", 7), ("start_crossing_zones", "label", "C"),
+        ("crossing_zones", "label", "a"), ("waiting_areas", "label", ""),
+        ("waiting_areas", "id", 12), ("crossing_zones", "id", None),
+        ("start_crossing_zones", "id", ["start_a"])])
+    def test_zone_label_and_id_checked(self, geometry, key, attr, value):
+        # a start zone's label becomes the crosswalk of a fast-path alert;
+        # str() would have loaded id 12 as "12"
+        cfg = json.loads(json.dumps(geometry.to_dict()))
+        cfg[key][0][attr] = value
+        with pytest.raises(GeometryError, match=key):
+            IntersectionGeometry.from_dict(cfg)
+
+    @pytest.mark.parametrize("keys", [("A", "B", "C"), ("A",), ("A", "b")])
+    def test_crosswalk_entry_keys_checked(self, geometry, keys):
+        cfg = json.loads(json.dumps(geometry.to_dict()))
+        cfg["crosswalk_entries"] = {k: [440.0, 490.0] for k in keys}
+        with pytest.raises(GeometryError, match="crosswalk_entries"):
+            IntersectionGeometry.from_dict(cfg)
+
+    def test_labels_ids_and_entries_checked_in_code(self, geometry):
+        start = geometry.start_crossing_zones
+        with pytest.raises(GeometryError, match="start_crossing_zones"):
+            replace(geometry, start_crossing_zones=(replace(start[0], label=7), start[1]))
+        with pytest.raises(GeometryError, match="start_crossing_zones"):
+            replace(geometry, start_crossing_zones=(replace(start[0], zone_id=12), start[1]))
+        with pytest.raises(GeometryError, match="crosswalk_entries"):
+            replace(geometry, crosswalk_entries={**geometry.crosswalk_entries, "C": (0.0, 0.0)})
+        assert IntersectionGeometry.from_dict(geometry.to_dict()) == geometry
+
 
 def test_polygon_area():
     assert polygon_area(UNIT_SQUARE) == 1.0
