@@ -14,7 +14,7 @@ import hashlib
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .features import FeatureWindow, mask_for_groups
 from .geom import IntersectionGeometry, check_json_numbers, refuse_unknown_keys
 from .ingest import SAMPLE_EVERY, FrameRecord, VruTruth
 from .model import (WEIGHT_DTYPES, ModelConfig, ModelParams, backward_batch,
-                    bce_from_logits, forward_batch, init_params)
+                    bce_from_logits, forward_batch, init_params, sigmoid)
 from .optim import AdamWConfig, AdamWState, PlateauScheduler, adamw_step, clip_gradients
 from .pipeline import Pipeline
 
@@ -255,21 +255,38 @@ class TrainResult:
         }
 
 
-def _eval_loss(params: ModelParams, ds: WindowDataset, batch: int = 256) -> float:
-    losses = []
+EVAL_CHUNK = 64  # windows per evaluation forward
+
+
+def _group_logits(params: ModelParams, ds: WindowDataset,
+                  batch: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """The logits of each group of ``batch`` windows, with its slice of ``ds``.
+
+    A group runs as forwards of ``EVAL_CHUNK`` windows, whose logits equal
+    those of one forward over the group, at a quarter of the B=256 peak. A
+    last chunk of one window joins the chunk before it: a forward at B=1
+    takes BLAS's GEMV path, whose bits differ.
+    """
     for i in range(0, len(ds), batch):
-        _, cache = forward_batch(ds.x[i:i + batch], params)
-        n = cache["logit"].shape[0]
-        losses.append(bce_from_logits(cache["logit"], ds.y[i:i + batch]) * n)
+        group = slice(i, min(i + batch, len(ds)))
+        x = ds.x[group]
+        cuts = list(range(0, len(x), EVAL_CHUNK))[1:]
+        if cuts and len(x) - cuts[-1] == 1:
+            cuts.pop()
+        yield group, np.concatenate([forward_batch(part, params)[1]["logit"]
+                                     for part in np.split(x, cuts)])
+
+
+def _eval_loss(params: ModelParams, ds: WindowDataset, batch: int = 256) -> float:
+    """Mean BCE over ``ds``, summed group by group of ``batch`` windows."""
+    losses = [bce_from_logits(logit, ds.y[group]) * logit.shape[0]
+              for group, logit in _group_logits(params, ds, batch)]
     return float(sum(losses) / len(ds))
 
 
 def evaluate_params(params: ModelParams, ds: WindowDataset,
                     batch: int = 256) -> ConfusionCounts:
-    preds = []
-    for i in range(0, len(ds), batch):
-        p, _ = forward_batch(ds.x[i:i + batch], params)
-        preds.append(p >= 0.5)
+    preds = [sigmoid(logit) >= 0.5 for _, logit in _group_logits(params, ds, batch)]
     return ConfusionCounts.from_predictions(ds.y.astype(bool), np.concatenate(preds))
 
 
@@ -334,7 +351,8 @@ def train(dataset: WindowDataset, cfg: TrainConfig) -> TrainResult:
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_params = params.copy()
+            # in place: a new copy would be allocated while the old one lives
+            best_params.flat[...] = params.flat
 
     counts = evaluate_params(best_params, test_ds)
     return TrainResult(best_params, train_losses, val_losses, lrs, best_epoch,

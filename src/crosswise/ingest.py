@@ -35,6 +35,15 @@ COORD_LIMIT = 1e7      # |x| and |y| of a bbox or keypoint; bbox w and h
 MIN_BBOX_SIDE = 1e-3   # bbox w and h
 
 
+def _refuse_constant(literal: str):
+    raise ValueError(f"{literal} is not a JSON number")
+
+
+# one decoder for every line: json.loads with parse_constant would build one
+# per call. NaN and Infinity are Python extensions to JSON, refused here
+_JSON = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 class StreamFormatError(ValueError):
     """Malformed record stream; carries the 1-based line number."""
 
@@ -235,9 +244,10 @@ def write_stream(records: Iterable[FrameRecord], path: str | Path) -> None:
 def read_stream(path: str | Path) -> Iterator[FrameRecord]:
     """Yield validated FrameRecords from a JSON-lines file, in file order.
 
-    Raises StreamFormatError (with line number) for malformed lines, values
-    that are not JSON numbers or lie outside the stream bounds (COORD_LIMIT,
-    MIN_BBOX_SIDE), non-monotonic frame indices, or decreasing timestamps.
+    Raises StreamFormatError (with line number) for malformed lines (a NaN
+    or Infinity literal included), values that are not JSON numbers or lie
+    outside the stream bounds (COORD_LIMIT, MIN_BBOX_SIDE), non-monotonic
+    frame indices, or decreasing timestamps.
     """
     last_frame = -1
     last_ts = -1
@@ -247,8 +257,8 @@ def read_stream(path: str | Path) -> Iterator[FrameRecord]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+                obj = _JSON.decode(line)
+            except ValueError as exc:
                 raise StreamFormatError(line_no, f"invalid JSON: {exc}") from exc
             rec = _record_from_obj(obj, line_no)
             if rec.frame_idx <= last_frame:
@@ -583,8 +593,13 @@ def generate_scenario(spec: ScenarioSpec,
 # --- ground-truth file -------------------------------------------------------
 
 
+LABELS_SCHEMA = "crosswise-labels/1"
+_LABEL_KEYS = ("vru_id", "label", "class", "spawn_frame", "exit_frame",
+               "crossing_entry_frame", "samples")
+
+
 def write_labels(truths: list[VruTruth], path: str | Path) -> None:
-    obj = {"schema": "crosswise-labels/1", "vrus": [
+    obj = {"schema": LABELS_SCHEMA, "vrus": [
         {"vru_id": t.vru_id, "label": t.label, "class": t.vru_class,
          "spawn_frame": t.spawn_frame, "exit_frame": t.exit_frame,
          "crossing_entry_frame": t.crossing_entry_frame,
@@ -595,13 +610,60 @@ def write_labels(truths: list[VruTruth], path: str | Path) -> None:
         fh.write("\n")
 
 
+def _truth_from_obj(v) -> VruTruth:
+    if type(v) is not dict:
+        raise ValueError(f"must be a JSON object, got {v!r}")
+    refuse_unknown_keys(v, _LABEL_KEYS, "VRU")
+    entry = v["crossing_entry_frame"]
+    if entry is not None:
+        check_json_number(entry, "crossing_entry_frame", integer=True)
+    if v["label"] not in ("A", "B"):
+        raise ValueError(f"label must be A or B, got {v['label']!r}")
+    if v["class"] not in VRU_CLASSES:
+        raise ValueError(f"unknown VRU class {v['class']!r}")
+    samples = v["samples"]
+    # column by column, each check one pass in C
+    if (type(samples) is not list or not {list}.issuperset(map(type, samples))
+            or not {3}.issuperset(map(len, samples))):
+        raise ValueError("samples must be a JSON list of [frame, x, y] lists")
+    frames, xs, ys = zip(*samples) if samples else ((), (), ())
+    if not {int}.issuperset(map(type, frames)):
+        bad = next(f for f in frames if type(f) is not int)
+        raise ValueError(f"a sample frame must be a JSON integer, got {bad!r}")
+    xy = xs + ys
+    if not {float}.issuperset(map(type, xy)):  # a JSON integer is read as a float
+        if not JSON_NUMBER.issuperset(map(type, xy)):
+            bad = next(c for c in xy if type(c) not in JSON_NUMBER)
+            raise ValueError(f"sample x and y must be JSON numbers, got {bad!r}")
+        xs, ys = map(float, xs), map(float, ys)
+    return VruTruth(
+        vru_id=check_json_number(v["vru_id"], "vru_id", integer=True),
+        label=v["label"], vru_class=v["class"],
+        spawn_frame=check_json_number(v["spawn_frame"], "spawn_frame", integer=True),
+        exit_frame=check_json_number(v["exit_frame"], "exit_frame", integer=True),
+        crossing_entry_frame=entry,
+        samples=list(zip(frames, xs, ys)))
+
+
 def read_labels(path: str | Path) -> list[VruTruth]:
+    """The ground truth ``write_labels`` wrote, checked as it is read: the schema
+    ``crosswise-labels/1``, no unknown keys, JSON integers for ids and frames
+    (``crossing_entry_frame`` may be null), JSON numbers for the sample x and
+    y, ``label`` A or B and ``class`` one of ``VRU_CLASSES``. Each error is a
+    ValueError; one inside a VRU entry names the entry."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return [VruTruth(
-        vru_id=int(v["vru_id"]), label=v["label"], vru_class=v["class"],
-        spawn_frame=int(v["spawn_frame"]), exit_frame=int(v["exit_frame"]),
-        crossing_entry_frame=(int(v["crossing_entry_frame"])
-                              if v["crossing_entry_frame"] is not None else None),
-        samples=[(int(f), float(x), float(y)) for f, x, y in v["samples"]],
-    ) for v in obj["vrus"]]
+        obj = _JSON.decode(fh.read())
+    if type(obj) is not dict or obj.get("schema") != LABELS_SCHEMA:
+        raise ValueError(f"labels file must be a JSON object with schema {LABELS_SCHEMA!r}")
+    refuse_unknown_keys(obj, ("schema", "vrus"), "labels file")
+    if type(obj.get("vrus")) is not list:
+        raise ValueError("labels file must hold a JSON list 'vrus'")
+    truths = []
+    for i, v in enumerate(obj["vrus"]):
+        try:
+            truths.append(_truth_from_obj(v))
+        except (KeyError, ValueError) as exc:
+            what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            vru_id = v.get("vru_id") if type(v) is dict else None
+            raise ValueError(f"labels file, VRU {i} (vru_id {vru_id!r}): {what}") from exc
+    return truths

@@ -195,33 +195,38 @@ LN_EPS = 1e-5
 
 
 def _layer_norm(x, gain, bias):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    # in place where a product or sum only swaps operands: the same bytes
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     istd = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * istd
-    return gain * xhat + bias, xhat, istd
+    xhat *= istd
+    y = gain * xhat
+    y += bias
+    return y, xhat, istd
 
 
 def _layer_norm_backward(dy, xhat, istd, gain):
     dgain = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
     dbias = dy.sum(axis=tuple(range(dy.ndim - 1)))
-    dxhat = dy * gain
-    dx = istd * (dxhat
-                 - dxhat.mean(axis=-1, keepdims=True)
-                 - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    dx = dy * gain  # d xhat, turned into dx in place; both means read it first
+    proj = (dx * xhat).mean(axis=-1, keepdims=True)
+    dx -= dx.mean(axis=-1, keepdims=True)
+    dx -= xhat * proj
+    dx *= istd
     return dx, dgain, dbias
 
 
-def _dropout_mask(rng: Optional[np.random.Generator], shape, rate: float, dtype):
+def _dropout_keep(rng: Optional[np.random.Generator], shape, rate: float):
+    """The boolean keep mask of a dropout layer; None when it drops nothing."""
     if rng is None or rate <= 0.0:
         return None
-    keep = (rng.random(shape) >= rate).astype(dtype)
-    return keep / (1.0 - rate)
+    return rng.random(shape) >= rate
 
 
-def _apply_mask(x, mask):
-    return x if mask is None else x * mask
+def _apply_keep(x, keep, rate: float):
+    """``x`` times the scaled mask ``keep / (1 - rate)``, which is rebuilt here
+    in ``x``'s dtype rather than kept as floats."""
+    return x if keep is None else x * (keep.astype(x.dtype) / (1.0 - rate))
 
 
 # --- batched forward ----------------------------------------------------------
@@ -240,6 +245,8 @@ def _outer_grad(a: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _gru_layer_forward(seq, layer):
+    """The layer's output (B, T, d_h) and its gates ``[(z, r, g), ...]`` per
+    step; backward reads ``h_{t-1}`` back from the output."""
     b, t_len, _ = seq.shape
     dm = layer.u_z.shape[0]
     # input-side projections for all steps at once; the loop only carries h
@@ -252,12 +259,11 @@ def _gru_layer_forward(seq, layer):
     for t in range(t_len):
         z = sigmoid(xw_z[:, t, :] + h @ layer.u_z)
         r = sigmoid(xw_r[:, t, :] + h @ layer.u_r)
-        rh = r * h
-        g = np.tanh(xw_h[:, t, :] + rh @ layer.u_h)
-        steps.append((h, z, r, rh, g))
+        g = np.tanh(xw_h[:, t, :] + (r * h) @ layer.u_h)
+        steps.append((z, r, g))
         h = (1.0 - z) * h + z * g
         hs[:, t, :] = h
-    return hs, (seq, steps)
+    return hs, steps
 
 
 def _mha_forward(h_seq, attn):
@@ -270,29 +276,34 @@ def _mha_forward(h_seq, attn):
     qh = q.reshape(b, t_len, nh, dk).transpose(0, 2, 1, 3)
     kh = k.reshape(b, t_len, nh, dk).transpose(0, 2, 1, 3)
     vh = v.reshape(b, t_len, nh, dk).transpose(0, 2, 1, 3)
-    scores = qh @ kh.transpose(0, 1, 3, 2) / math.sqrt(dk)
-    a = softmax_last(scores)
-    oh = a @ vh
-    o = oh.transpose(0, 2, 1, 3).reshape(b, t_len, dm)
+    a = softmax_last(qh @ kh.transpose(0, 1, 3, 2) / math.sqrt(dk))
+    o = (a @ vh).transpose(0, 2, 1, 3).reshape(b, t_len, dm)
     out = _flat_gemm(o, attn.w_o)
     return out, {"h": h_seq, "qh": qh, "kh": kh, "vh": vh, "a": a, "o": o, "dk": dk}
 
 
 def _encoder_forward(h_seq, attn, rate: float,
                      rng: Optional[np.random.Generator]):
+    # each large local is dropped at its last read; backward rebuilds n1 from
+    # xhat1 and the ReLU mask from fr
     attn_out, mha_cache = _mha_forward(h_seq, attn)
-    m_attn = _dropout_mask(rng, attn_out.shape, rate, h_seq.dtype)
-    r1 = h_seq + _apply_mask(attn_out, m_attn)
+    keep_attn = _dropout_keep(rng, attn_out.shape, rate)
+    r1 = h_seq + _apply_keep(attn_out, keep_attn, rate)
+    del attn_out
     n1, xhat1, istd1 = _layer_norm(r1, attn.ln1_gain, attn.ln1_bias)
-    u = _flat_gemm(n1, attn.w_ff1) + attn.b_ff1
-    fr = np.maximum(u, 0.0)
-    f_out = _flat_gemm(fr, attn.w_ff2) + attn.b_ff2
-    m_ffn = _dropout_mask(rng, f_out.shape, rate, h_seq.dtype)
-    r2 = n1 + _apply_mask(f_out, m_ffn)
+    del r1
+    fr = _flat_gemm(n1, attn.w_ff1)
+    fr += attn.b_ff1
+    np.maximum(fr, 0.0, out=fr)
+    f_out = _flat_gemm(fr, attn.w_ff2)
+    f_out += attn.b_ff2
+    keep_ffn = _dropout_keep(rng, f_out.shape, rate)
+    r2 = n1 + _apply_keep(f_out, keep_ffn, rate)
+    del n1, f_out
     n2, xhat2, istd2 = _layer_norm(r2, attn.ln2_gain, attn.ln2_bias)
-    cache = {"mha": mha_cache, "m_attn": m_attn, "m_ffn": m_ffn,
+    cache = {"mha": mha_cache, "keep_attn": keep_attn, "keep_ffn": keep_ffn,
              "xhat1": xhat1, "istd1": istd1, "xhat2": xhat2, "istd2": istd2,
-             "n1": n1, "u": u, "fr": fr}
+             "fr": fr}
     return n2, cache
 
 
@@ -320,26 +331,28 @@ def forward_batch(x: np.ndarray, params: ModelParams, mode: str = "infer",
 
     # masks are drawn GRU output first, then encoder, then head; the trained
     # weight bytes of every seed depend on that order
-    h1, cache1 = _gru_layer_forward(x, params.gru[0])
-    m_gru = _dropout_mask(rng, h1.shape, rate, x.dtype)
-    h1 = _apply_mask(h1, m_gru)  # frees the unmasked output; backward never reads it
-    h2, cache2 = _gru_layer_forward(h1, params.gru[1])
+    h1, steps0 = _gru_layer_forward(x, params.gru[0])
+    keep_gru = _dropout_keep(rng, h1.shape, rate)
+    h1d = _apply_keep(h1, keep_gru, rate)
+    h2, steps1 = _gru_layer_forward(h1d, params.gru[1])
     enc, enc_cache = _encoder_forward(h2, params.attn, rate, rng)
 
-    if params.config.pooling == "mean":
-        pooled = enc.mean(axis=1)
-    else:
-        pooled = enc[:, -1, :]
+    # a copy of the last step, so that no view keeps the encoder output alive
+    pooled = enc.mean(axis=1) if params.config.pooling == "mean" else enc[:, -1, :].copy()
+    enc_shape = enc.shape
+    del enc
     u1 = pooled @ params.head.w1 + params.head.b1
     a1 = np.maximum(u1, 0.0)
-    m_fc = _dropout_mask(rng, a1.shape, rate, x.dtype)
-    a1d = _apply_mask(a1, m_fc)
+    keep_fc = _dropout_keep(rng, a1.shape, rate)
+    a1d = _apply_keep(a1, keep_fc, rate)
     logit = (a1d @ params.head.w2 + params.head.b2).reshape(-1)
     p = sigmoid(logit)
     if not np.all(np.isfinite(p)):
         raise ModelError("non-finite prediction")
-    cache = {"gru": (cache1, cache2, m_gru), "enc": enc, "enc_cache": enc_cache,
-             "pooled": pooled, "u1": u1, "a1d": a1d, "m_fc": m_fc,
+    # each GRU layer's input, output and gates; h2 is also the encoder's input
+    cache = {"gru": ((x, h1, steps0), keep_gru, (h1d, h2, steps1)),
+             "enc_shape": enc_shape, "enc_cache": enc_cache,
+             "pooled": pooled, "u1": u1, "a1d": a1d, "keep_fc": keep_fc,
              "logit": logit, "p": p, "mode": mode}
     return p, cache
 
@@ -426,8 +439,9 @@ def bce_from_logits(logits: np.ndarray, y: np.ndarray) -> float:
 # --- backward -----------------------------------------------------------------
 
 
-def _gru_layer_backward(d_hs, seq, steps, layer, grads, prefix: str):
-    """Weight gradients of one GRU layer into ``grads``. Pops ``steps`` empty
+def _gru_layer_backward(d_hs, seq, hs, steps, layer, grads, prefix: str):
+    """Weight gradients of one GRU layer into ``grads``, from its input
+    ``seq``, its output ``hs`` and its gates ``steps``. Pops ``steps`` empty
     and returns the pre-activation deltas (da_z, da_r, da_h), from which a
     caller that needs the input gradient takes it."""
     b, t_len, dm = d_hs.shape
@@ -436,24 +450,31 @@ def _gru_layer_backward(d_hs, seq, steps, layer, grads, prefix: str):
     da_z = np.empty((b, t_len, dm), dtype=d_hs.dtype)
     da_r = np.empty((b, t_len, dm), dtype=d_hs.dtype)
     da_h = np.empty((b, t_len, dm), dtype=d_hs.dtype)
-    h_prevs = np.empty((b, t_len, dm), dtype=d_hs.dtype)
-    rhs = np.empty((b, t_len, dm), dtype=d_hs.dtype)
+    rs = []
     dh_next = np.zeros((b, dm), dtype=d_hs.dtype)
     for t in reversed(range(t_len)):
-        h_prev, z, r, rh, g = steps.pop()
+        z, r, g = steps.pop()
+        rs.append(r)
+        h_prev = hs[:, t - 1, :] if t else np.zeros_like(dh_next)
         dh = d_hs[:, t, :] + dh_next
-        dg = dh * z
-        ah = dg * (1.0 - g * g)
+        ah = dh * z * (1.0 - g * g)
         drh = ah @ layer.u_h.T
         ar = (drh * h_prev) * r * (1.0 - r)
         az = (dh * (g - h_prev)) * z * (1.0 - z)
-        dh_next = (dh * (1.0 - z) + drh * r
-                   + ar @ layer.u_r.T + az @ layer.u_z.T)
+        if t:  # h_{-1} is the zero state, whose gradient nothing reads
+            dh_next = (dh * (1.0 - z) + drh * r
+                       + ar @ layer.u_r.T + az @ layer.u_z.T)
         da_z[:, t, :] = az
         da_r[:, t, :] = ar
         da_h[:, t, :] = ah
-        h_prevs[:, t, :] = h_prev
-        rhs[:, t, :] = rh
+    del z, r, g, dh, ah, drh, ar, az, dh_next  # the last step's, before the grads
+    # the GEMM operands h_{t-1} and r * h_{t-1} of every step, built once the
+    # other gates are freed
+    rhs = np.stack(rs[::-1], axis=1)
+    del rs
+    h_prevs = np.zeros((b, t_len, dm), dtype=d_hs.dtype)
+    h_prevs[:, 1:] = hs[:, :-1]
+    rhs *= h_prevs
     grads[prefix + ".u_z"] = _outer_grad(h_prevs, da_z)
     grads[prefix + ".u_r"] = _outer_grad(h_prevs, da_r)
     del h_prevs
@@ -485,23 +506,26 @@ def _mha_backward(d_out, cache, attn, grads):
     del d_o, d_oh
     d_scores = a * (d_a - (d_a * a).sum(axis=-1, keepdims=True))
     del a, d_a
-    d_qh = (d_scores @ cache.pop("kh")) * scale
-    d_kh = (d_scores.transpose(0, 1, 3, 2) @ cache.pop("qh")) * scale
-    del d_scores
 
-    d_q = np.ascontiguousarray(d_qh.transpose(0, 2, 1, 3)).reshape(b, t_len, dm)
-    del d_qh
-    d_k = np.ascontiguousarray(d_kh.transpose(0, 2, 1, 3)).reshape(b, t_len, dm)
-    del d_kh
+    # one projection at a time, q, k then v: its rows, its weight gradient and
+    # its term of the input gradient, which is summed in that order
+    h_seq = cache.pop("h")
+    d_q = (d_scores @ cache.pop("kh")) * scale
+    d_q = np.ascontiguousarray(d_q.transpose(0, 2, 1, 3)).reshape(b, t_len, dm)
+    grads["attn.w_q"] = _outer_grad(h_seq, d_q)
+    d_in = _flat_gemm(d_q, attn.w_q.T)
+    del d_q
+    d_k = (d_scores.transpose(0, 1, 3, 2) @ cache.pop("qh")) * scale
+    del d_scores
+    d_k = np.ascontiguousarray(d_k.transpose(0, 2, 1, 3)).reshape(b, t_len, dm)
+    grads["attn.w_k"] = _outer_grad(h_seq, d_k)
+    d_in += _flat_gemm(d_k, attn.w_k.T)
+    del d_k
     d_v = np.ascontiguousarray(d_vh.transpose(0, 2, 1, 3)).reshape(b, t_len, dm)
     del d_vh
-    h_seq = cache.pop("h")
-    grads["attn.w_q"] = _outer_grad(h_seq, d_q)
-    grads["attn.w_k"] = _outer_grad(h_seq, d_k)
     grads["attn.w_v"] = _outer_grad(h_seq, d_v)
-    del h_seq
-    return (_flat_gemm(d_q, attn.w_q.T) + _flat_gemm(d_k, attn.w_k.T)
-            + _flat_gemm(d_v, attn.w_v.T))
+    d_in += _flat_gemm(d_v, attn.w_v.T)
+    return d_in
 
 
 def backward_batch(cache: dict, y: np.ndarray, params: ModelParams
@@ -512,9 +536,10 @@ def backward_batch(cache: dict, y: np.ndarray, params: ModelParams
     Consumes the train-mode ``cache``: every cached activation and dropout
     mask is popped at its last read, and every temporary dropped after its
     last read, so a step's memory falls as the pass goes rather than holding
-    the whole cache to the end (a float32 step at B=64 peaks where its
-    forward does). Afterwards the cache holds only ``logit``, ``p`` and
-    ``mode``; read anything else from it before calling.
+    the whole cache to the end (a bench-size float32 step at B=64 peaks in
+    the feed-forward backward, at 7.3 MB of traced allocation).
+    Afterwards the cache holds only ``logit``, ``p`` and ``mode``; read
+    anything else from it before calling.
     """
     if cache["mode"] != "train":
         raise ModelError("backward needs a train-mode forward cache")
@@ -523,18 +548,19 @@ def backward_batch(cache: dict, y: np.ndarray, params: ModelParams
     p = cache["p"]
     b = p.shape[0]
     y = np.asarray(y, dtype=p.dtype).reshape(b)
+    rate = params.config.dropout
 
     d_logit = (p - y) / b                                  # BCE through sigmoid
     head = params.head
     grads["head.w2"] = cache.pop("a1d").T @ d_logit[:, None]
     grads["head.b2"] = d_logit.sum(keepdims=True)
-    d_a1 = _apply_mask(d_logit[:, None] @ head.w2.T, cache.pop("m_fc"))
+    d_a1 = _apply_keep(d_logit[:, None] @ head.w2.T, cache.pop("keep_fc"), rate)
     d_u1 = d_a1 * (cache.pop("u1") > 0)
     grads["head.w1"] = cache.pop("pooled").T @ d_u1
     grads["head.b1"] = d_u1.sum(axis=0)
     d_pooled = d_u1 @ head.w1.T
 
-    d_enc = np.zeros_like(cache.pop("enc"))  # only its shape is read
+    d_enc = np.zeros(cache.pop("enc_shape"), p.dtype)
     if params.config.pooling == "mean":
         d_enc += d_pooled[:, None, :] / d_enc.shape[1]
     else:
@@ -546,32 +572,41 @@ def backward_batch(cache: dict, y: np.ndarray, params: ModelParams
     d_n1, grads["attn.ln2_gain"], grads["attn.ln2_bias"] = _layer_norm_backward(
         d_enc, ec.pop("xhat2"), ec.pop("istd2"), attn.ln2_gain)
     del d_enc
-    d_f_out = _apply_mask(d_n1, ec.pop("m_ffn"))
-    grads["attn.w_ff2"] = _outer_grad(ec.pop("fr"), d_f_out)
+    d_f_out = _apply_keep(d_n1, ec.pop("keep_ffn"), rate)
+    fr = ec.pop("fr")
+    grads["attn.w_ff2"] = _outer_grad(fr, d_f_out)
     grads["attn.b_ff2"] = d_f_out.sum(axis=(0, 1))
+    relu = fr > 0  # fr = max(u, 0) is positive exactly where u is
+    del fr
     d_u = _flat_gemm(d_f_out, attn.w_ff2.T)
     del d_f_out
-    d_u *= ec.pop("u") > 0
-    grads["attn.w_ff1"] = _outer_grad(ec.pop("n1"), d_u)
+    d_u *= relu
+    del relu
+    xhat1 = ec.pop("xhat1")
+    n1 = attn.ln1_gain * xhat1  # as _layer_norm built it
+    n1 += attn.ln1_bias
+    grads["attn.w_ff1"] = _outer_grad(n1, d_u)
+    del n1
     grads["attn.b_ff1"] = d_u.sum(axis=(0, 1))
     d_n1 += _flat_gemm(d_u, attn.w_ff1.T)
     del d_u
 
     # and r1 = h2 + attn_out: d_r1 is the first term of d_h2
     d_h2, grads["attn.ln1_gain"], grads["attn.ln1_bias"] = _layer_norm_backward(
-        d_n1, ec.pop("xhat1"), ec.pop("istd1"), attn.ln1_gain)
-    del d_n1
-    d_h2 += _mha_backward(_apply_mask(d_h2, ec.pop("m_attn")), ec.pop("mha"), attn, grads)
+        d_n1, xhat1, ec.pop("istd1"), attn.ln1_gain)
+    del d_n1, xhat1
+    d_h2 += _mha_backward(_apply_keep(d_h2, ec.pop("keep_attn"), rate), ec.pop("mha"),
+                          attn, grads)
 
-    (x, steps0), (h1, steps1), m_gru = cache.pop("gru")
+    (x, h1, steps0), keep_gru, (h1d, h2, steps1) = cache.pop("gru")
     gru1 = params.gru[1]
-    da_z, da_r, da_h = _gru_layer_backward(d_h2, h1, steps1, gru1, grads, "gru1")
-    del d_h2, h1
-    d_h1 = _apply_mask(_flat_gemm(da_z, gru1.w_z.T) + _flat_gemm(da_r, gru1.w_r.T)
-                       + _flat_gemm(da_h, gru1.w_h.T), m_gru)
-    del da_z, da_r, da_h, m_gru
+    da_z, da_r, da_h = _gru_layer_backward(d_h2, h1d, h2, steps1, gru1, grads, "gru1")
+    del d_h2, h1d, h2
+    d_h1 = _apply_keep(_flat_gemm(da_z, gru1.w_z.T) + _flat_gemm(da_r, gru1.w_r.T)
+                       + _flat_gemm(da_h, gru1.w_h.T), keep_gru, rate)
+    del da_z, da_r, da_h, keep_gru
     # layer 0's input is the data, so its input gradient is never formed
-    _gru_layer_backward(d_h1, x, steps0, params.gru[0], grads, "gru0")
+    _gru_layer_backward(d_h1, x, h1, steps0, params.gru[0], grads, "gru0")
     return grads
 
 

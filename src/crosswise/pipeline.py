@@ -73,6 +73,7 @@ class I2VAlert:
 class _TrackCtx:
     state: TrackState = TrackState.IDLE
     birth_frame: Optional[int] = None          # first frame observed in-zone
+    segment: int = 0                           # index of the segment being filled
     frame_buffer: list[tuple[float, ...]] = field(default_factory=list)
     assembler: Optional[WindowAssembler] = None
     latest_prediction: Optional[Prediction] = None
@@ -184,17 +185,20 @@ class Pipeline:
                 continue
 
             # segment boundaries run on the stream clock, observed or not, so
-            # detector dropout cannot merge adjacent segments
+            # detector dropout cannot merge adjacent segments; a boundary
+            # missing from the frame numbering falls to the next frame present
             window = None
-            age = rec.frame_idx - ctx.birth_frame
-            if age > 0 and age % SEGMENT_FRAMES == 0:
+            segment = (rec.frame_idx - ctx.birth_frame) // SEGMENT_FRAMES
+            if segment > ctx.segment:
+                ctx.segment = segment
                 if ctx.frame_buffer:
                     step_vec = temporal_filter(ctx.frame_buffer)
                     ctx.frame_buffer = []
                     window = ctx.assembler.push(step_vec, rec.frame_idx)
                     if window is not None:
                         out.windows.append(window)
-                # an all-dropout segment yields no step and is skipped
+                # an all-dropout segment, or one the numbering skips whole,
+                # yields no step
 
             if is_seen and zone.is_observing:
                 ctx.frame_buffer.append(step_features(

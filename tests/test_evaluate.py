@@ -1,3 +1,4 @@
+import functools
 import json
 import tracemalloc
 from dataclasses import asdict
@@ -9,10 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from crosswise.evaluate import (MATCH_MAX_DIST, MATCH_MIN_SAMPLES, ConfusionCounts,
-                                TrainConfig, WindowDataset, ablation, build_dataset,
-                                head_sweep, match_tracks_to_truth, metrics, train)
+                                TrainConfig, WindowDataset, _eval_loss, _group_logits,
+                                ablation, build_dataset, evaluate_params, head_sweep,
+                                match_tracks_to_truth, metrics, train)
 from crosswise.features import FEATURE_DIM, FEATURE_GROUPS, mask_for_groups
 from crosswise.ingest import SAMPLE_EVERY, VruTruth
+from crosswise.model import ModelConfig, bce_from_logits, forward_batch, init_params
 from crosswise.pipeline import Pipeline
 
 
@@ -279,7 +282,7 @@ class TestTrain:
     def test_steps_do_not_overlap_in_memory(self):
         # 11 tracks train one full batch, 46 tracks four. With each step's
         # cache and gradients freed before the next forward, four steps peak
-        # where one does (29.59 against 30.47 MB); keeping the previous step's
+        # where one does (26.58 against 27.47 MB); keeping the previous step's
         # gradients alive through the next step read 34.18 MB, one gradient
         # buffer (4.6 MB) more.
         one_step, param_bytes = self.traced_peak(11)
@@ -290,6 +293,64 @@ class TestTrain:
         ds = toy_dataset(n_tracks=2)
         with pytest.raises(ValueError):
             train(ds, TrainConfig(epochs=1))
+
+
+@functools.lru_cache(maxsize=None)
+def bench_params(dtype: str, pooling: str, n_heads: int):
+    """Bench-size weights with non-zero biases, so every bias add moves bytes."""
+    params = init_params(ModelConfig(n_heads=n_heads, pooling=pooling, dropout=0.0),
+                         seed=n_heads, dtype=np.dtype(dtype))
+    rng = np.random.default_rng(n_heads)
+    for _, t in params.named_tensors():
+        if t.ndim == 1:
+            t += rng.standard_normal(t.shape) * 0.5
+    return params
+
+
+def bench_windows(n: int, seed: int = 3) -> WindowDataset:
+    rng = np.random.default_rng(seed)
+    return WindowDataset(rng.standard_normal((n, 5, FEATURE_DIM)),
+                         (np.arange(n) % 2).astype(float), np.arange(n))
+
+
+class TestEvaluationForwards:
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 256])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_chunks_give_the_logits_of_one_forward(self, n, dtype):
+        # a one-window chunk would take BLAS's GEMV path (65 and 129 would
+        # split one off), whose bits differ from the GEMM's
+        ds = bench_windows(n)
+        for pooling in ("mean", "last"):
+            for n_heads in (1, 2, 4):
+                params = bench_params(dtype, pooling, n_heads)
+                (group, logit), = _group_logits(params, ds, 256)
+                assert group == slice(0, n)
+                whole = forward_batch(ds.x, params)[1]["logit"]
+                assert logit.tobytes() == whole.tobytes(), (pooling, n_heads)
+
+    def test_groups_of_256_keep_the_loss_and_counts(self):
+        ds = bench_windows(300)
+        params = bench_params("float32", "mean", 2)
+        # the parent's loops: one forward per group of 256
+        groups = [forward_batch(ds.x[i:i + 256], params) for i in (0, 256)]
+        loss = sum(bce_from_logits(cache["logit"], ds.y[i:i + 256]) * len(p)
+                   for i, (p, cache) in zip((0, 256), groups)) / len(ds)
+        assert _eval_loss(params, ds) == loss
+        p = np.concatenate([p for p, _ in groups])
+        assert evaluate_params(params, ds) == ConfusionCounts.from_predictions(
+            ds.y.astype(bool), p >= 0.5)
+
+    def test_eval_loss_peak_allocation(self):
+        # 9.78e6 bytes as one forward of 256 windows
+        params = bench_params("float32", "mean", 2)
+        ds = bench_windows(256)
+        tracemalloc.start()
+        try:
+            _eval_loss(params, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5e6
 
 
 class TestExperiments:

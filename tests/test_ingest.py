@@ -10,8 +10,9 @@ from hypothesis.extra.numpy import arrays
 
 from crosswise.geom import ZoneType
 from crosswise.ingest import (Detection, FrameRecord, PoseDetection, ScenarioSpec,
-                              StreamFormatError, _record_from_obj, generate_scenario,
-                              read_labels, read_stream, write_labels, write_stream)
+                              StreamFormatError, VruTruth, _record_from_obj,
+                              generate_scenario, read_labels, read_stream, write_labels,
+                              write_stream)
 
 
 def make_record(frame, ts, n_dets=1):
@@ -103,6 +104,16 @@ class TestValidation:
 
 class TestNonFinite:
     """json.loads accepts NaN and Infinity; ingest must reject them by line."""
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_refused_at_parse_where_no_check_reads(self, tmp_path, literal):
+        # a key no record check reads: only the decoder can refuse it
+        path = tmp_path / "note.jsonl"
+        path.write_text('{"frame":0,"ts_ms":0,"dets":[],"poses":[]}\n'
+                        f'{{"frame":1,"ts_ms":0,"dets":[],"poses":[],"note":{literal}}}\n')
+        with pytest.raises(StreamFormatError, match=f"line 2: invalid JSON: {literal}") as exc:
+            list(read_stream(path))
+        assert exc.value.line_no == 2
 
     @staticmethod
     def stream_with_bad_second_line(tmp_path, edit):
@@ -371,12 +382,15 @@ class TestGenerator:
 
         assert shoulder_std("night") > shoulder_std("day") * 1.2
 
+
     def test_labels_file_round_trip(self, geometry, tmp_path):
         _, truths = generate_scenario(ScenarioSpec(n_vrus=4, seed=8), geometry)
         path = tmp_path / "labels.json"
         write_labels(truths, path)
         out = read_labels(path)
         assert out == truths
+        assert all(type(x) is float and type(y) is float
+                   for t in out for _, x, y in t.samples)
 
     @pytest.mark.parametrize("label", ["A", "B"])
     def test_body_angle_faces_labeled_entry(self, geometry, label):
@@ -654,3 +668,65 @@ class TestFrameCheckMatchesConstructors:
             assert a.keypoints.dtype == b.keypoints.dtype
             assert a.keypoints.shape == b.keypoints.shape
             assert a.keypoints.tobytes() == b.keypoints.tobytes()
+
+
+class TestLabelsFile:
+    @staticmethod
+    def written(tmp_path, truths, edit=None):
+        path = tmp_path / "labels.json"
+        write_labels(truths, path)
+        if edit is not None:
+            obj = json.loads(path.read_text())
+            edit(obj)
+            path.write_text(json.dumps(obj))
+        return path
+
+    def test_integer_sample_coordinates_read_as_floats(self, tmp_path):
+        truth = VruTruth(3, "A", "cyclist", 0, 9, None, [(0, 1.5, 2.0)])
+        out = read_labels(self.written(
+            tmp_path, [truth], lambda o: o["vrus"][0]["samples"][0].__setitem__(2, 2)))
+        assert out == [truth] and type(out[0].samples[0][2]) is float
+
+    @pytest.mark.parametrize("key,value,msg", [
+        ("label", "C", "label must be A or B"),
+        ("class", "truck", "unknown VRU class"),
+        ("vru_id", "3", "vru_id must be a JSON integer"),
+        ("spawn_frame", True, "spawn_frame must be a JSON integer"),
+        ("exit_frame", 5.9, "exit_frame must be a JSON integer"),
+        ("crossing_entry_frame", 4.0, "crossing_entry_frame must be a JSON integer"),
+        ("extra", 1, "unknown VRU keys"),
+        ("samples", [[0, 1.0]], r"\[frame, x, y\]"),
+        ("samples", {"0": [0, 1.0, 2.0]}, r"\[frame, x, y\]"),
+        ("samples", [[0.0, 1.0, 2.0]], "frame must be a JSON integer, got 0.0"),
+        ("samples", [[0, "1", 2.0]], "must be JSON numbers, got '1'"),
+        ("samples", [[0, 1.0, False]], "must be JSON numbers, got False"),
+    ])
+    def test_bad_vru_refused_by_name(self, tmp_path, key, value, msg):
+        truths = [VruTruth(i, "B", "pedestrian", 0, 9, 5, [(0, 1.0, 2.0)]) for i in (7, 8)]
+        path = self.written(tmp_path, truths, lambda o: o["vrus"][1].__setitem__(key, value))
+        with pytest.raises(ValueError, match=msg) as exc:
+            read_labels(path)
+        vru_id = value if key == "vru_id" else 8
+        assert str(exc.value).startswith(f"labels file, VRU 1 (vru_id {vru_id!r}): ")
+
+    def test_missing_key_named(self, tmp_path):
+        truth = VruTruth(2, "A", "pedestrian", 0, 9, None, [])
+        path = self.written(tmp_path, [truth], lambda o: o["vrus"][0].pop("exit_frame"))
+        with pytest.raises(ValueError, match=r"VRU 0 \(vru_id 2\): missing key 'exit_frame'"):
+            read_labels(path)
+
+    @pytest.mark.parametrize("edit,msg", [
+        (lambda o: o.__setitem__("schema", "crosswise-labels/2"), "schema"),
+        (lambda o: o.__setitem__("extra", []), "unknown labels file keys"),
+        (lambda o: o.__setitem__("vrus", {}), "JSON list 'vrus'"),
+        (lambda o: o["vrus"].append([1]), "VRU 1 .*must be a JSON object"),
+    ])
+    def test_bad_file_refused(self, tmp_path, edit, msg):
+        truth = VruTruth(2, "A", "pedestrian", 0, 9, None, [])
+        with pytest.raises(ValueError, match=msg):
+            read_labels(self.written(tmp_path, [truth], edit))
+
+    def test_nan_sample_refused(self, tmp_path):
+        truth = VruTruth(2, "A", "pedestrian", 0, 9, None, [(0, math.nan, 1.0)])
+        with pytest.raises(ValueError, match="NaN is not a JSON number"):
+            read_labels(self.written(tmp_path, [truth]))

@@ -480,8 +480,11 @@ class TestBackward:
 
     def test_b64_float32_train_step_peak_allocation(self):
         # 20.6e6 bytes while backward_batch held the whole train cache and a
-        # zero-filled gradient dict to its end; consuming the cache as it reads
-        # it leaves the forward's own peak (10.9e6) as the step's
+        # zero-filled gradient dict to its end, and 10.9e6, the forward's own
+        # peak, once it consumed the cache. A forward that keeps only what
+        # backward reads (boolean dropout masks, no per-step h or r * h, no
+        # u, n1 or encoder output) peaks at 6.8e6, and the step at 7.3e6 in
+        # the feed-forward backward
         params = init_params(ModelConfig(), seed=27, dtype=np.float32)
         rng = np.random.default_rng(28)
         x = rng.standard_normal((64, 5, FEATURE_DIM)).astype(np.float32)
@@ -493,7 +496,7 @@ class TestBackward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12e6
+        assert peak <= 8.5e6
 
     def test_finite_differences_small_model(self):
         cfg = ModelConfig(d_in=6, d_h=8, n_heads=2, d_ff=10, dropout=0.5)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crosswise import pipeline as pipeline_mod
+from crosswise.features import SEGMENT_FRAMES, WINDOW_STEPS
 from crosswise.geom import (MAX_FPS, MIN_FRAME_SIDE, MIN_PX_PER_METER, ZoneType,
                             demo_geometry)
 from crosswise.ingest import (COORD_LIMIT, MIN_BBOX_SIDE, Detection, FrameRecord,
@@ -74,6 +75,37 @@ class TestWindowCadence:
             out = pipe.step(rec)
             emitted.extend(w.end_frame_idx for w in out.windows)
         assert emitted == [50, 60, 70]
+
+    def test_missing_boundary_frame_falls_to_the_next_frame(self, geometry):
+        # frames 20 and 40 missing from the numbering: their segments still
+        # end there, on frames 21 and 41, so the first window comes at 50
+        pipe = Pipeline(geometry, params=None)
+        ends = []
+        for rec in waiting_stream(121):
+            if rec.frame_idx not in (20, 40):
+                ends.extend(w.end_frame_idx for w in pipe.step(rec).windows)
+        assert ends == [50, 60, 70, 80, 90, 100, 110, 120]
+
+    @settings(max_examples=60)
+    @given(st.sets(st.integers(0, 120), max_size=80))
+    def test_gaps_in_numbering_keep_the_segment_clock(self, geometry, removed):
+        present = [rec for rec in waiting_stream(121) if rec.frame_idx not in removed]
+        pipe = Pipeline(geometry, params=None)
+        ends, longest_buffer = [], 0
+        for rec in present:
+            ends.extend(w.end_frame_idx for w in pipe.step(rec).windows)
+            longest_buffer = max(longest_buffer, *(len(c.frame_buffer)
+                                                   for c in pipe.ctx.values()))
+        # a segment ends at the first frame present at or after its boundary,
+        # birth + 10 k; a boundary whose whole segment is missing shares that
+        # frame with the next, and from the fifth step on each step is a window
+        frames = [rec.frame_idx for rec in present]
+        birth = frames[0]
+        step_ends = sorted({next(f for f in frames if f >= b)
+                            for b in range(birth + SEGMENT_FRAMES, frames[-1] + 1,
+                                           SEGMENT_FRAMES)})
+        assert ends == step_ends[WINDOW_STEPS - 1:]
+        assert longest_buffer <= SEGMENT_FRAMES
 
     def test_outside_track_produces_nothing(self, geometry):
         pipe = Pipeline(geometry, params=None)
