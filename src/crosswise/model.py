@@ -194,15 +194,17 @@ def softmax_last(x: np.ndarray) -> np.ndarray:
 LN_EPS = 1e-5
 
 
-def _layer_norm(x, gain, bias):
-    # in place where a product or sum only swaps operands: the same bytes
-    xhat = x - x.mean(axis=-1, keepdims=True)
-    var = (xhat * xhat).mean(axis=-1, keepdims=True)
+def _layer_norm(x, gain, bias, keep_xhat: bool):
+    """Layer norm over the last axis: (y, xhat, istd). ``x`` is normalized in
+    place, so it becomes ``xhat``; unless ``keep_xhat``, ``y`` is written over
+    it too (the same bytes) and ``xhat`` is returned as None."""
+    x -= x.mean(axis=-1, keepdims=True)
+    var = (x * x).mean(axis=-1, keepdims=True)
     istd = 1.0 / np.sqrt(var + LN_EPS)
-    xhat *= istd
-    y = gain * xhat
+    x *= istd
+    y = gain * x if keep_xhat else np.multiply(x, gain, out=x)
     y += bias
-    return y, xhat, istd
+    return y, (x if keep_xhat else None), istd
 
 
 def _layer_norm_backward(dy, xhat, istd, gain):
@@ -244,128 +246,19 @@ def _outer_grad(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     return a.reshape(bt, a.shape[2]).T @ d.reshape(bt, d.shape[2])
 
 
-def _gru_layer_forward(seq, layer):
-    """The layer's output (B, T, d_h) and its gates ``[(z, r, g), ...]`` per
-    step; backward reads ``h_{t-1}`` back from the output."""
-    b, t_len, _ = seq.shape
-    dm = layer.u_z.shape[0]
-    # input-side projections for all steps at once; the loop only carries h
-    xw_z = _flat_gemm(seq, layer.w_z) + layer.b_z
-    xw_r = _flat_gemm(seq, layer.w_r) + layer.b_r
-    xw_h = _flat_gemm(seq, layer.w_h) + layer.b_h
-    h = np.zeros((b, dm), dtype=seq.dtype)
-    hs = np.empty((b, t_len, dm), dtype=seq.dtype)
-    steps = []
-    for t in range(t_len):
-        z = sigmoid(xw_z[:, t, :] + h @ layer.u_z)
-        r = sigmoid(xw_r[:, t, :] + h @ layer.u_r)
-        g = np.tanh(xw_h[:, t, :] + (r * h) @ layer.u_h)
-        steps.append((z, r, g))
-        h = (1.0 - z) * h + z * g
-        hs[:, t, :] = h
-    return hs, steps
+def _stash(cache: Optional[dict], **entries) -> None:
+    """Adds ``entries`` to a train-mode cache; an inference forward has none."""
+    if cache is not None:
+        cache.update(entries)
 
 
-def _mha_forward(h_seq, attn):
-    b, t_len, dm = h_seq.shape
-    nh = attn.n_heads
-    dk = dm // nh
-    q = _flat_gemm(h_seq, attn.w_q)
-    k = _flat_gemm(h_seq, attn.w_k)
-    v = _flat_gemm(h_seq, attn.w_v)
-    qh = q.reshape(b, t_len, nh, dk).transpose(0, 2, 1, 3)
-    kh = k.reshape(b, t_len, nh, dk).transpose(0, 2, 1, 3)
-    vh = v.reshape(b, t_len, nh, dk).transpose(0, 2, 1, 3)
-    a = softmax_last(qh @ kh.transpose(0, 1, 3, 2) / math.sqrt(dk))
-    o = (a @ vh).transpose(0, 2, 1, 3).reshape(b, t_len, dm)
-    out = _flat_gemm(o, attn.w_o)
-    return out, {"h": h_seq, "qh": qh, "kh": kh, "vh": vh, "a": a, "o": o, "dk": dk}
-
-
-def _encoder_forward(h_seq, attn, rate: float,
-                     rng: Optional[np.random.Generator]):
-    # each large local is dropped at its last read; backward rebuilds n1 from
-    # xhat1 and the ReLU mask from fr
-    attn_out, mha_cache = _mha_forward(h_seq, attn)
-    keep_attn = _dropout_keep(rng, attn_out.shape, rate)
-    r1 = h_seq + _apply_keep(attn_out, keep_attn, rate)
-    del attn_out
-    n1, xhat1, istd1 = _layer_norm(r1, attn.ln1_gain, attn.ln1_bias)
-    del r1
-    fr = _flat_gemm(n1, attn.w_ff1)
-    fr += attn.b_ff1
-    np.maximum(fr, 0.0, out=fr)
-    f_out = _flat_gemm(fr, attn.w_ff2)
-    f_out += attn.b_ff2
-    keep_ffn = _dropout_keep(rng, f_out.shape, rate)
-    r2 = n1 + _apply_keep(f_out, keep_ffn, rate)
-    del n1, f_out
-    n2, xhat2, istd2 = _layer_norm(r2, attn.ln2_gain, attn.ln2_bias)
-    cache = {"mha": mha_cache, "keep_attn": keep_attn, "keep_ffn": keep_ffn,
-             "xhat1": xhat1, "istd1": istd1, "xhat2": xhat2, "istd2": istd2,
-             "fr": fr}
-    return n2, cache
-
-
-def forward_batch(x: np.ndarray, params: ModelParams, mode: str = "infer",
-                  rng: Optional[np.random.Generator] = None) -> tuple[np.ndarray, dict]:
-    """Probabilities of crosswalk B for a batch of windows (B, T, d_in).
-
-    Returns (p of shape (B,), cache). Train mode needs a Generator for the
-    dropout masks and caches what ``backward_batch`` reads; infer mode runs
-    mask-free and its cache holds only ``logit``, ``p`` and ``mode``.
-    """
-    dtype = params.flat.dtype
-    x = np.asarray(x).astype(dtype, copy=False)
-    if x.ndim != 3 or x.shape[2] != params.config.d_in:
-        raise ModelError(f"expected (B, T, {params.config.d_in}) input, got {x.shape}")
-    if mode != "train":
-        logit = _infer_logits(x, params)
-        p = sigmoid(logit)
-        if not np.all(np.isfinite(p)):
-            raise ModelError("non-finite prediction")
-        return p, {"logit": logit, "p": p, "mode": mode}
-    if rng is None:
-        raise ModelError("train-mode forward needs a dropout Generator")
-    rate = params.config.dropout
-
-    # masks are drawn GRU output first, then encoder, then head; the trained
-    # weight bytes of every seed depend on that order
-    h1, steps0 = _gru_layer_forward(x, params.gru[0])
-    keep_gru = _dropout_keep(rng, h1.shape, rate)
-    h1d = _apply_keep(h1, keep_gru, rate)
-    h2, steps1 = _gru_layer_forward(h1d, params.gru[1])
-    enc, enc_cache = _encoder_forward(h2, params.attn, rate, rng)
-
-    # a copy of the last step, so that no view keeps the encoder output alive
-    pooled = enc.mean(axis=1) if params.config.pooling == "mean" else enc[:, -1, :].copy()
-    enc_shape = enc.shape
-    del enc
-    u1 = pooled @ params.head.w1 + params.head.b1
-    a1 = np.maximum(u1, 0.0)
-    keep_fc = _dropout_keep(rng, a1.shape, rate)
-    a1d = _apply_keep(a1, keep_fc, rate)
-    logit = (a1d @ params.head.w2 + params.head.b2).reshape(-1)
-    p = sigmoid(logit)
-    if not np.all(np.isfinite(p)):
-        raise ModelError("non-finite prediction")
-    # each GRU layer's input, output and gates; h2 is also the encoder's input
-    cache = {"gru": ((x, h1, steps0), keep_gru, (h1d, h2, steps1)),
-             "enc_shape": enc_shape, "enc_cache": enc_cache,
-             "pooled": pooled, "u1": u1, "a1d": a1d, "keep_fc": keep_fc,
-             "logit": logit, "p": p, "mode": mode}
-    return p, cache
-
-
-# --- inference body -------------------------------------------------------------
-# The same arithmetic as the train-mode body at dropout 0, op for op (products
-# and sums only swap operands), so the bytes match; it keeps nothing for a
-# backward pass and reuses or drops each large intermediate once read.
-
-
-def _gru_layer_infer(seq, layer) -> np.ndarray:
+def _gru_layer_forward(seq, layer, steps: Optional[list] = None) -> np.ndarray:
+    """The layer's output (B, T, d_h) from a zero state. Given a list
+    ``steps``, appends each step's gates ``(z, r, g)`` to it; backward reads
+    ``h_{t-1}`` back from the output."""
     b, t_len, d = seq.shape
     dm = layer.u_z.shape[0]
+    # input-side projections for all steps at once; the loop only carries h
     rows = seq.reshape(b * t_len, d)
     xw_zr = np.empty((2, b, t_len, dm), dtype=seq.dtype)  # z and r projections
     np.matmul(rows, layer.w_z, out=xw_zr[0].reshape(b * t_len, dm))
@@ -382,45 +275,112 @@ def _gru_layer_infer(seq, layer) -> np.ndarray:
         np.matmul(h, layer.u_r, out=zr[1])
         zr += xw_zr[:, :, t]
         z, r = sigmoid(zr)
-        r *= h
-        g = r @ layer.u_h
+        g = (r * h) @ layer.u_h
         g += xw_h[:, t]
         np.tanh(g, out=g)
-        g *= z
+        if steps is not None:
+            steps.append((z, r, g))
         h = (1.0 - z) * h
-        h += g
+        h += z * g
         hs[:, t] = h
     return hs
 
 
-def _layer_norm_infer(x, gain, bias):
-    """``_layer_norm(x, gain, bias)[0]``, overwriting ``x``."""
-    x -= x.mean(axis=-1, keepdims=True)
-    var = (x * x).mean(axis=-1, keepdims=True)
-    x *= 1.0 / np.sqrt(var + LN_EPS)
-    x *= gain
-    x += bias
-    return x
+def _mha_forward(h_seq, attn):
+    b, t_len, dm = h_seq.shape
+    nh = attn.n_heads
+    dk = dm // nh
+    q = _flat_gemm(h_seq, attn.w_q)
+    k = _flat_gemm(h_seq, attn.w_k)
+    v = _flat_gemm(h_seq, attn.w_v)
+    qh = q.reshape(b, t_len, nh, dk).transpose(0, 2, 1, 3)
+    kh = k.reshape(b, t_len, nh, dk).transpose(0, 2, 1, 3)
+    vh = v.reshape(b, t_len, nh, dk).transpose(0, 2, 1, 3)
+    a = softmax_last(qh @ kh.transpose(0, 1, 3, 2) / math.sqrt(dk))
+    o = (a @ vh).transpose(0, 2, 1, 3).reshape(b, t_len, dm)
+    out = _flat_gemm(o, attn.w_o)
+    return out, {"h": h_seq, "qh": qh, "kh": kh, "vh": vh, "a": a, "o": o}
 
 
-def _infer_logits(x, params: ModelParams) -> np.ndarray:
-    attn, head = params.attn, params.head
-    h2 = _gru_layer_infer(_gru_layer_infer(x, params.gru[0]), params.gru[1])
-    n1 = _mha_forward(h2, attn)[0]
-    n1 += h2
-    n1 = _layer_norm_infer(n1, attn.ln1_gain, attn.ln1_bias)
-    u = _flat_gemm(n1, attn.w_ff1)
-    u += attn.b_ff1
-    np.maximum(u, 0.0, out=u)
-    enc = _flat_gemm(u, attn.w_ff2)
-    enc += attn.b_ff2
-    enc += n1
-    enc = _layer_norm_infer(enc, attn.ln2_gain, attn.ln2_bias)
-    pooled = enc.mean(axis=1) if params.config.pooling == "mean" else enc[:, -1, :]
-    u1 = pooled @ head.w1
-    u1 += head.b1
-    np.maximum(u1, 0.0, out=u1)
-    return (u1 @ head.w2 + head.b2).reshape(-1)
+def _encoder_forward(h_seq, attn, rate: float, rng: Optional[np.random.Generator],
+                     cache: Optional[dict]):
+    """The encoder block's output. Given a ``cache``, adds to it what backward
+    reads (it rebuilds n1 from xhat1 and the ReLU mask from fr); without one,
+    nothing is kept and each layer norm writes its output over its input.
+    Each large local is dropped at its last read."""
+    attn_out, mha_cache = _mha_forward(h_seq, attn)
+    _stash(cache, **mha_cache)
+    del mha_cache
+    keep_attn = _dropout_keep(rng, attn_out.shape, rate)
+    r1 = _apply_keep(attn_out, keep_attn, rate)
+    del attn_out
+    r1 += h_seq
+    keep_xhat = cache is not None
+    n1, xhat1, istd1 = _layer_norm(r1, attn.ln1_gain, attn.ln1_bias, keep_xhat)
+    fr = _flat_gemm(n1, attn.w_ff1)
+    fr += attn.b_ff1
+    np.maximum(fr, 0.0, out=fr)
+    f_out = _flat_gemm(fr, attn.w_ff2)
+    f_out += attn.b_ff2
+    keep_ffn = _dropout_keep(rng, f_out.shape, rate)
+    r2 = _apply_keep(f_out, keep_ffn, rate)
+    del f_out
+    r2 += n1
+    del n1
+    n2, xhat2, istd2 = _layer_norm(r2, attn.ln2_gain, attn.ln2_bias, keep_xhat)
+    _stash(cache, keep_attn=keep_attn, keep_ffn=keep_ffn, xhat1=xhat1, istd1=istd1,
+           xhat2=xhat2, istd2=istd2, fr=fr)
+    return n2
+
+
+def forward_batch(x: np.ndarray, params: ModelParams, mode: str = "infer",
+                  rng: Optional[np.random.Generator] = None) -> tuple[np.ndarray, dict]:
+    """Probabilities of crosswalk B for a batch of windows (B, T, d_in).
+
+    Returns (p of shape (B,), cache). Both modes run one body. Train mode
+    needs a Generator for the dropout masks and caches what
+    ``backward_batch`` reads; infer mode draws no mask, even given a
+    Generator, and its cache holds only ``logit``, ``p`` and ``mode``.
+    """
+    dtype = params.flat.dtype
+    x = np.asarray(x).astype(dtype, copy=False)
+    if x.ndim != 3 or x.shape[2] != params.config.d_in:
+        raise ModelError(f"expected (B, T, {params.config.d_in}) input, got {x.shape}")
+    train = mode == "train"
+    if train and rng is None:
+        raise ModelError("train-mode forward needs a dropout Generator")
+    # only train mode draws masks and keeps what backward_batch reads
+    rng, cache = (rng, {}) if train else (None, None)
+    steps0, steps1 = ([], []) if train else (None, None)
+    rate = params.config.dropout
+
+    # masks are drawn GRU output first, then encoder, then head; the trained
+    # weight bytes of every seed depend on that order
+    h1 = _gru_layer_forward(x, params.gru[0], steps0)
+    keep_gru = _dropout_keep(rng, h1.shape, rate)
+    h1d = _apply_keep(h1, keep_gru, rate)
+    h2 = _gru_layer_forward(h1d, params.gru[1], steps1)
+    # each GRU layer's input, output and gates; h2 is also the encoder's input
+    _stash(cache, gru=((x, h1, steps0), keep_gru, (h1d, h2, steps1)))
+    del h1, h1d
+    enc = _encoder_forward(h2, params.attn, rate, rng, cache)
+
+    # a copy of the last step, so that no view keeps the encoder output alive
+    pooled = enc.mean(axis=1) if params.config.pooling == "mean" else enc[:, -1, :].copy()
+    del enc
+    a1 = pooled @ params.head.w1
+    a1 += params.head.b1
+    np.maximum(a1, 0.0, out=a1)
+    keep_fc = _dropout_keep(rng, a1.shape, rate)
+    a1d = _apply_keep(a1, keep_fc, rate)
+    logit = (a1d @ params.head.w2 + params.head.b2).reshape(-1)
+    p = sigmoid(logit)
+    if not np.all(np.isfinite(p)):
+        raise ModelError("non-finite prediction")
+    _stash(cache, pooled=pooled, a1=a1, a1d=a1d, keep_fc=keep_fc)
+    cache = {} if cache is None else cache
+    cache.update(logit=logit, p=p, mode=mode)
+    return p, cache
 
 
 def forward(window: FeatureWindow, params: ModelParams, mode: str = "infer",
@@ -450,12 +410,12 @@ def _gru_layer_backward(d_hs, seq, hs, steps, layer, grads, prefix: str):
     da_z = np.empty((b, t_len, dm), dtype=d_hs.dtype)
     da_r = np.empty((b, t_len, dm), dtype=d_hs.dtype)
     da_h = np.empty((b, t_len, dm), dtype=d_hs.dtype)
-    rs = []
+    rhs = []  # each step's r * h_{t-1}: r is a view that would keep the step's z alive
     dh_next = np.zeros((b, dm), dtype=d_hs.dtype)
     for t in reversed(range(t_len)):
         z, r, g = steps.pop()
-        rs.append(r)
         h_prev = hs[:, t - 1, :] if t else np.zeros_like(dh_next)
+        rhs.append(r * h_prev)
         dh = d_hs[:, t, :] + dh_next
         ah = dh * z * (1.0 - g * g)
         drh = ah @ layer.u_h.T
@@ -468,13 +428,11 @@ def _gru_layer_backward(d_hs, seq, hs, steps, layer, grads, prefix: str):
         da_r[:, t, :] = ar
         da_h[:, t, :] = ah
     del z, r, g, dh, ah, drh, ar, az, dh_next  # the last step's, before the grads
-    # the GEMM operands h_{t-1} and r * h_{t-1} of every step, built once the
+    # the GEMM operands r * h_{t-1} and h_{t-1} of every step, built once the
     # other gates are freed
-    rhs = np.stack(rs[::-1], axis=1)
-    del rs
+    rhs = np.stack(rhs[::-1], axis=1)
     h_prevs = np.zeros((b, t_len, dm), dtype=d_hs.dtype)
     h_prevs[:, 1:] = hs[:, :-1]
-    rhs *= h_prevs
     grads[prefix + ".u_z"] = _outer_grad(h_prevs, da_z)
     grads[prefix + ".u_r"] = _outer_grad(h_prevs, da_r)
     del h_prevs
@@ -490,10 +448,10 @@ def _gru_layer_backward(d_hs, seq, hs, steps, layer, grads, prefix: str):
 
 
 def _mha_backward(d_out, cache, attn, grads):
-    """Input gradient of ``_mha_forward``; pops ``cache`` as it reads it."""
+    """Input gradient of ``_mha_forward``; pops its entries from ``cache``."""
     b, t_len, dm = d_out.shape
     nh = attn.n_heads
-    dk = cache["dk"]
+    dk = dm // nh
     scale = 1.0 / math.sqrt(dk)
 
     grads["attn.w_o"] = _outer_grad(cache.pop("o"), d_out)
@@ -555,25 +513,24 @@ def backward_batch(cache: dict, y: np.ndarray, params: ModelParams
     grads["head.w2"] = cache.pop("a1d").T @ d_logit[:, None]
     grads["head.b2"] = d_logit.sum(keepdims=True)
     d_a1 = _apply_keep(d_logit[:, None] @ head.w2.T, cache.pop("keep_fc"), rate)
-    d_u1 = d_a1 * (cache.pop("u1") > 0)
+    d_u1 = d_a1 * (cache.pop("a1") > 0)  # a1 = max(u1, 0) is positive where u1 is
     grads["head.w1"] = cache.pop("pooled").T @ d_u1
     grads["head.b1"] = d_u1.sum(axis=0)
     d_pooled = d_u1 @ head.w1.T
 
-    d_enc = np.zeros(cache.pop("enc_shape"), p.dtype)
+    d_enc = np.zeros(cache["h"].shape, p.dtype)  # the encoder keeps its input's shape
     if params.config.pooling == "mean":
         d_enc += d_pooled[:, None, :] / d_enc.shape[1]
     else:
         d_enc[:, -1, :] = d_pooled
 
-    ec = cache.pop("enc_cache")
     attn = params.attn
     # r2 = n1 + f_out: d_r2 is the first term of d_n1, summed into in place
     d_n1, grads["attn.ln2_gain"], grads["attn.ln2_bias"] = _layer_norm_backward(
-        d_enc, ec.pop("xhat2"), ec.pop("istd2"), attn.ln2_gain)
+        d_enc, cache.pop("xhat2"), cache.pop("istd2"), attn.ln2_gain)
     del d_enc
-    d_f_out = _apply_keep(d_n1, ec.pop("keep_ffn"), rate)
-    fr = ec.pop("fr")
+    d_f_out = _apply_keep(d_n1, cache.pop("keep_ffn"), rate)
+    fr = cache.pop("fr")
     grads["attn.w_ff2"] = _outer_grad(fr, d_f_out)
     grads["attn.b_ff2"] = d_f_out.sum(axis=(0, 1))
     relu = fr > 0  # fr = max(u, 0) is positive exactly where u is
@@ -582,7 +539,7 @@ def backward_batch(cache: dict, y: np.ndarray, params: ModelParams
     del d_f_out
     d_u *= relu
     del relu
-    xhat1 = ec.pop("xhat1")
+    xhat1 = cache.pop("xhat1")
     n1 = attn.ln1_gain * xhat1  # as _layer_norm built it
     n1 += attn.ln1_bias
     grads["attn.w_ff1"] = _outer_grad(n1, d_u)
@@ -593,10 +550,10 @@ def backward_batch(cache: dict, y: np.ndarray, params: ModelParams
 
     # and r1 = h2 + attn_out: d_r1 is the first term of d_h2
     d_h2, grads["attn.ln1_gain"], grads["attn.ln1_bias"] = _layer_norm_backward(
-        d_n1, xhat1, ec.pop("istd1"), attn.ln1_gain)
+        d_n1, xhat1, cache.pop("istd1"), attn.ln1_gain)
     del d_n1, xhat1
-    d_h2 += _mha_backward(_apply_keep(d_h2, ec.pop("keep_attn"), rate), ec.pop("mha"),
-                          attn, grads)
+    d_h2 += _mha_backward(_apply_keep(d_h2, cache.pop("keep_attn"), rate), cache, attn,
+                          grads)
 
     (x, h1, steps0), keep_gru, (h1d, h2, steps1) = cache.pop("gru")
     gru1 = params.gru[1]

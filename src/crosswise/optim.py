@@ -9,13 +9,16 @@ import numpy as np
 
 from .model import ModelParams
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+PLATEAU_FACTOR = 0.5  # the LR is multiplied by this on a plateau
+PLATEAU_PATIENCE = 2  # epochs without improvement that make a plateau
+
 
 @dataclass
 class AdamWConfig:
     lr: float = 2.5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 1e-4
 
 
@@ -39,28 +42,27 @@ def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
     return math.sqrt(total)
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = 1.0
-                   ) -> dict[str, np.ndarray]:
-    """Scale all gradients by max_norm/norm when the global L2 norm exceeds it."""
+def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = 1.0) -> None:
+    """Scale all gradients in place by max_norm/norm when the global L2 norm
+    exceeds it."""
     norm = global_grad_norm(grads)
     if norm > max_norm:
         scale = max_norm / norm
         for g in grads.values():
             g *= scale
-    return grads
 
 
 def adamw_step(params: ModelParams, grads: dict[str, np.ndarray],
-               state: AdamWState, cfg: AdamWConfig) -> tuple[ModelParams, AdamWState]:
+               state: AdamWState, cfg: AdamWConfig) -> None:
     """One update: decoupled decay first, then bias-corrected Adam moments.
 
-    Mutates params/state in place and returns them. Non-finite gradients are
-    a hard error rather than something to silently step through.
+    Mutates params/state in place. Non-finite gradients are a hard error
+    rather than something to silently step through.
     """
     state.step += 1
     t = state.step
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, theta in params.named_tensors():
         g = grads[name]
         if not np.all(np.isfinite(g)):
@@ -69,12 +71,11 @@ def adamw_step(params: ModelParams, grads: dict[str, np.ndarray],
             theta *= 1.0 - cfg.lr * cfg.weight_decay
         m = state.m[name]
         v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        theta -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-    return params, state
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        theta -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 class PlateauScheduler:
@@ -85,11 +86,8 @@ class PlateauScheduler:
     below the floor.
     """
 
-    def __init__(self, lr: float = 2.5e-4, factor: float = 0.5, patience: int = 2,
-                 threshold: float = 1e-4, floor: float = 1e-6):
+    def __init__(self, lr: float = 2.5e-4, threshold: float = 1e-4, floor: float = 1e-6):
         self.lr = lr
-        self.factor = factor
-        self.patience = patience
         self.threshold = threshold
         self.floor = floor
         self.best = math.inf
@@ -101,7 +99,7 @@ class PlateauScheduler:
             self.stale_epochs = 0
         else:
             self.stale_epochs += 1
-            if self.stale_epochs >= self.patience:
-                self.lr = max(self.floor, self.lr * self.factor)
+            if self.stale_epochs >= PLATEAU_PATIENCE:
+                self.lr = max(self.floor, self.lr * PLATEAU_FACTOR)
                 self.stale_epochs = 0
         return self.lr

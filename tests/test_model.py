@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 from crosswise import model
 from crosswise.features import FEATURE_DIM, LAYOUT_HASH, FeatureWindow
 from crosswise.model import (LayoutMismatchError, ModelConfig, ModelError, Prediction,
-                             _gru_layer_forward, _gru_layer_infer, _mha_forward,
+                             _gru_layer_forward, _mha_forward,
                              backward_batch, bce_from_logits, forward, forward_batch,
                              init_params, load_params, save_params, sigmoid, softmax_last)
 from crosswise.model import (WEIGHT_DTYPES, WEIGHT_FILE_VERSION, ModelParams, _layout,
@@ -100,15 +100,17 @@ def gru_sequence_reference(x_seq, layer):
     return np.array(out)
 
 
-# the two forward bodies of a GRU layer, each mapping (B, T, d_in) to the
-# hidden states (B, T, d_h) from a zero state
-GRU_BODIES = {"train": lambda seq, layer: _gru_layer_forward(seq, layer)[0],
-              "infer": _gru_layer_infer}
+# the GRU layer body as training calls it (keeping each step's gates) and as
+# inference does, each mapping (B, T, d_in) to the hidden states (B, T, d_h)
+# from a zero state
+GRU_BODIES = {"train": lambda seq, layer: _gru_layer_forward(seq, layer, []),
+              "infer": _gru_layer_forward}
 
 
 def gru_oracle_error(seed):
-    """Largest deviation of either GRU body from the transcription, over
-    T in [2, 5] steps from a zero state, for one random layer."""
+    """Largest deviation of the GRU layer body, as each mode calls it, from
+    the transcription, over T in [2, 5] steps from a zero state, for one
+    random layer."""
     rng = np.random.default_rng(seed)
     d_in = int(rng.integers(2, 8))
     d_h = int(rng.integers(2, 10))
@@ -140,7 +142,7 @@ def mha_weights(h_seq, attn):
 
 
 class TestGruCell:
-    """The gate equations, checked on both forward bodies of a GRU layer."""
+    """The gate equations, checked on the GRU layer body as each mode calls it."""
 
     def test_zero_params_halve_hidden_state(self):
         # z = 0.5 and g = tanh(b_h), so each step halves h - tanh(b_h):
@@ -387,8 +389,8 @@ def bench_size_params(dtype: str, pooling: str, n_heads: int) -> ModelParams:
 
 
 class TestInferBody:
-    """The cache-free inference forward computes what the train-mode body
-    computes at dropout 0, byte for byte, and keeps none of its caches."""
+    """Infer mode runs the train-mode body without a cache or dropout masks:
+    the same bytes as train mode at dropout 0, and none of its caches."""
 
     @staticmethod
     def p_and_logit(x, params, mode):
@@ -408,6 +410,20 @@ class TestInferBody:
         p_train, logit_train = self.p_and_logit(x, params, "train")
         assert p.tobytes() == p_train.tobytes()
         assert logit.tobytes() == logit_train.tobytes()
+
+    def test_generator_untouched(self):
+        # only train mode draws masks: given a Generator at dropout 0.5, an
+        # infer forward scores as one without and leaves the Generator as it was
+        cfg = ModelConfig(d_in=FEATURE_DIM, d_h=16, n_heads=2, d_ff=12, dropout=0.5)
+        params = init_params(cfg, seed=17)
+        x = np.random.default_rng(17).standard_normal((3, 5, FEATURE_DIM))
+        rng = np.random.default_rng(18)
+        state = rng.bit_generator.state
+        p, cache = forward_batch(x, params, rng=rng)
+        p_free, cache_free = forward_batch(x, params)
+        assert p.tobytes() == p_free.tobytes()
+        assert cache["logit"].tobytes() == cache_free["logit"].tobytes()
+        assert rng.bit_generator.state == state
 
     def test_cache_holds_only_the_outputs(self):
         p, cache = forward_batch(np.ones((2, 5, FEATURE_DIM)),
