@@ -9,7 +9,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import evaluate, ingest, pipeline
-from .geom import IntersectionGeometry, demo_geometry
+from .geom import JSON_DECODER, IntersectionGeometry, demo_geometry
 from .model import load_params, save_params
 
 
@@ -31,7 +31,7 @@ def _load_dataset(args) -> evaluate.WindowDataset:
 def _train_config(args) -> evaluate.TrainConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            return evaluate.TrainConfig.from_dict(json.load(fh))
+            return evaluate.TrainConfig.from_dict(JSON_DECODER.decode(fh.read()))
     return evaluate.TrainConfig()
 
 

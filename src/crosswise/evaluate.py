@@ -10,6 +10,7 @@ mechanisms, never the published magnitudes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import time
 from collections import Counter
@@ -207,8 +208,6 @@ class TrainConfig:
     n_heads: int = ModelConfig.n_heads
     dropout: float = ModelConfig.dropout
     pooling: str = ModelConfig.pooling
-    plateau_threshold: float = 1e-4
-    lr_floor: float = 1e-6
     dtype: str = "float32"  # training profile; gradient checks run in float64
 
     def __post_init__(self):
@@ -218,9 +217,8 @@ class TrainConfig:
                              f"got {self.epochs} and {self.batch_size}")
         if not (self.lr > 0 and self.clip_norm > 0):
             raise ValueError(f"lr and clip_norm must be > 0, got {self.lr} and {self.clip_norm}")
-        if not (self.weight_decay >= 0 and self.plateau_threshold >= 0 and self.lr_floor >= 0):
-            raise ValueError(f"weight_decay, plateau_threshold and lr_floor must be >= 0, got "
-                             f"{self.weight_decay}, {self.plateau_threshold} and {self.lr_floor}")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.dtype not in WEIGHT_DTYPES:
             raise ValueError(f"dtype must be one of {WEIGHT_DTYPES}, got {self.dtype!r}")
         self.model_config()  # checks the model fields
@@ -290,6 +288,23 @@ def evaluate_params(params: ModelParams, ds: WindowDataset,
     return ConfusionCounts.from_predictions(ds.y.astype(bool), np.concatenate(preds))
 
 
+@functools.cache
+def _raise_mmap_threshold() -> None:
+    """Keep the pages of freed train steps, once per process.
+
+    Each step frees its arrays (about 21 MB at bench size) as it returns.
+    glibc hands a free heap top of more than twice its mmap threshold back to
+    the OS, so every step would page-fault that memory in again (about 3.4k
+    minor faults a step, 9% of train throughput at bench size). Freeing one
+    untouched block raises glibc's dynamic threshold to the block's size (up
+    to 32 MiB) and keeps those pages; it costs no resident memory, and other
+    allocators ignore it. Once is enough: the threshold stays raised, and a
+    second block would come from the heap, where numpy advises a block of
+    4 MiB or more for huge pages.
+    """
+    np.empty(24 << 20, np.uint8)
+
+
 def _train_step(params: ModelParams, xb: np.ndarray, yb: np.ndarray,
                 drop_rng: np.random.Generator, clip_norm: float,
                 state: AdamWState, opt_cfg: AdamWConfig) -> float:
@@ -311,22 +326,14 @@ def train(dataset: WindowDataset, cfg: TrainConfig) -> TrainResult:
     derive from cfg.seed. Returns the best-validation-loss parameters.
     """
     t0 = time.perf_counter()
-    # Each step frees its arrays (about 21 MB at bench size) as it returns.
-    # glibc hands a free heap top of more than twice its mmap threshold back
-    # to the OS, so every step would page-fault that memory in again (about
-    # 3.4k minor faults a step, 9% of train throughput at bench size). Freeing
-    # one untouched block raises glibc's dynamic threshold to the block's size
-    # (up to 32 MiB) and keeps those pages; it costs no resident memory, and
-    # other allocators ignore it.
-    np.empty(24 << 20, np.uint8)
+    _raise_mmap_threshold()
     dtype = np.dtype(cfg.dtype)
     train_ds, val_ds, test_ds = dataset.split_by_track(cfg.seed)
     train_x = train_ds.x.astype(dtype)
     params = init_params(cfg.model_config(), seed=cfg.seed, dtype=dtype)
     opt_cfg = AdamWConfig(lr=cfg.lr, weight_decay=cfg.weight_decay)
     state = AdamWState.init(params)
-    sched = PlateauScheduler(lr=cfg.lr, threshold=cfg.plateau_threshold,
-                             floor=cfg.lr_floor)
+    sched = PlateauScheduler(lr=cfg.lr)
     shuffle_rng = np.random.default_rng(cfg.seed + 1)
     drop_rng = np.random.default_rng(cfg.seed + 2)
 
@@ -373,6 +380,13 @@ class ExperimentReport:
     notes: str = ""
 
 
+def _report(name: str, rows: list[dict], dataset: WindowDataset, cfg: TrainConfig,
+            t0: float, notes: str) -> ExperimentReport:
+    """The report of an experiment that started at perf_counter() ``t0``."""
+    return ExperimentReport(name, rows, {"train": cfg.seed}, dataset.sha256(), cfg.epochs,
+                            time.perf_counter() - t0, notes)
+
+
 GROUP_ORDER = ("L", "M", "G", "P")
 
 
@@ -393,15 +407,8 @@ def ablation(dataset: WindowDataset, cfg: TrainConfig,
                      "masked_slots": int((~keep).sum()),
                      **asdict(result.test_metrics),
                      "best_epoch": result.best_epoch})
-    return ExperimentReport(
-        name="feature-ablation",
-        rows=rows,
-        seeds={"train": cfg.seed},
-        dataset_hash=dataset.sha256(),
-        epochs=cfg.epochs,
-        wall_clock_s=time.perf_counter() - t0,
-        notes="synthetic benchmark; direction-only comparison",
-    )
+    return _report("feature-ablation", rows, dataset, cfg, t0,
+                   "synthetic benchmark; direction-only comparison")
 
 
 REFERENCE_TWO_HEAD = {"accuracy": 0.9645, "precision": 0.9638,
@@ -426,12 +433,5 @@ def head_sweep(dataset: WindowDataset, cfg: TrainConfig,
                      "best_epoch": result.best_epoch})
     rows.append({"config": "2-head reference", "source": "paper, private dataset",
                  **REFERENCE_TWO_HEAD})
-    return ExperimentReport(
-        name="head-count-sweep",
-        rows=rows,
-        seeds={"train": cfg.seed},
-        dataset_hash=dataset.sha256(),
-        epochs=cfg.epochs,
-        wall_clock_s=time.perf_counter() - t0,
-        notes="reference row is not a synthetic result",
-    )
+    return _report("head-count-sweep", rows, dataset, cfg, t0,
+                   "reference row is not a synthetic result")

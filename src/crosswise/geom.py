@@ -31,6 +31,8 @@ class ZoneType(Enum):
 
 # The camera scale a geometry must have. Within it, every frame the stream
 # bounds accept gives finite features, also in float32 (README, stream format).
+COORD_LIMIT = 1e7         # px: |x| and |y| of a zone vertex, crosswalk entry, bbox
+                          # or keypoint, and a bbox's w and h
 MIN_FRAME_SIDE = 1.0      # px
 MIN_PX_PER_METER = 1e-3
 MAX_FPS = 1000
@@ -54,13 +56,6 @@ class ZoneKind:
 
 
 OUTSIDE = ZoneKind(ZoneType.OUTSIDE)
-
-
-@dataclass(frozen=True)
-class Zone:
-    zone_id: str
-    polygon: tuple[Point, ...]
-    label: Optional[str] = None
 
 
 def polygon_area(poly: Polygon) -> float:
@@ -114,20 +109,8 @@ def _inside(x: float, y: float, edges: tuple[_Edge, ...]) -> bool:
     return inside
 
 
-def point_in_polygon(p: Point, poly: Polygon) -> bool:
-    """Even-odd (ray casting) containment test; boundary points count as inside.
-
-    Raises GeometryError for polygons with fewer than 3 vertices or zero area.
-    """
-    if len(poly) < 3:
-        raise GeometryError(f"polygon needs >= 3 vertices, got {len(poly)}")
-    if polygon_area(poly) <= 0.0:
-        raise GeometryError("degenerate polygon with zero area")
-    return _inside(p[0], p[1], _edges(poly))
-
-
 def _reject_box(poly: Polygon) -> tuple[float, float, float, float]:
-    """(x0, y0, x1, y1) outside which point_in_polygon(p, poly) is always False.
+    """(x0, y0, x1, y1) outside which no point is inside ``poly``.
 
     The bounding box widened by the on-edge eps. On x the margin also grows
     with the largest |x|: the crossing abscissa can round past the polygon's
@@ -140,9 +123,53 @@ def _reject_box(poly: Polygon) -> tuple[float, float, float, float]:
     return (x0 - mx, min(ys) - _EPS, x1 + mx, max(ys) + _EPS)
 
 
+@dataclass(frozen=True)
+class Zone:
+    """A polygon zone, checked once here: at least 3 vertices and non-zero
+    area. It keeps the constants of its containment test."""
+
+    zone_id: str
+    polygon: tuple[Point, ...]
+    label: Optional[str] = None
+    area: float = field(init=False, repr=False, compare=False)
+    centroid: Point = field(init=False, repr=False, compare=False)  # vertex mean
+    _reject_box: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
+    _edges: tuple[_Edge, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        poly = self.polygon
+        n = len(poly)
+        area = polygon_area(poly)
+        if n < 3 or not area > 0.0:
+            raise GeometryError(f"zone {self.zone_id!r} polygon is degenerate: "
+                                f"{n} vertices, area {area}")
+        object.__setattr__(self, "area", area)
+        object.__setattr__(self, "centroid", (sum(q[0] for q in poly) / n,
+                                              sum(q[1] for q in poly) / n))
+        object.__setattr__(self, "_reject_box", _reject_box(poly))
+        object.__setattr__(self, "_edges", _edges(poly))
+
+    def contains(self, p: Point) -> bool:
+        """Even-odd containment; a point within eps of an edge is inside, a
+        NaN coordinate never is."""
+        x, y = p
+        x0, y0, x1, y1 = self._reject_box
+        return x0 <= x <= x1 and y0 <= y <= y1 and _inside(x, y, self._edges)
+
+
 # --- config-file checks, shared by every JSON config the package reads ----------
 
 JSON_NUMBER = frozenset((int, float))  # what json.loads gives for a number; not bool
+
+
+def _refuse_constant(literal: str):
+    raise ValueError(f"{literal} is not a JSON number")
+
+
+# The one decoder of every stream line and config file: json.loads with
+# parse_constant would build one per call. NaN and Infinity are Python
+# extensions to JSON, refused here.
+JSON_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
 def refuse_unknown_keys(obj: dict, known: Iterable[str], what: str,
@@ -215,8 +242,9 @@ class IntersectionGeometry:
                 if zone.label not in (None, "A", "B"):
                     raise GeometryError(f"{key} zone {zone.zone_id!r} label must be null, "
                                         f"'A' or 'B', got {zone.label!r}")
-                if len(zone.polygon) < 3 or polygon_area(zone.polygon) <= 0.0:
-                    raise GeometryError(f"zone {zone.zone_id!r} polygon is degenerate")
+                if not all(-COORD_LIMIT <= v <= COORD_LIMIT for q in zone.polygon for v in q):
+                    raise GeometryError(f"{key} zone {zone.zone_id!r} vertices must be "
+                                        f"within +-{COORD_LIMIT:g}")
         for zone in self.waiting_areas:
             for (px, py) in zone.polygon:
                 if not (cx <= px <= cx + cw and cy <= py <= cy + ch):
@@ -229,6 +257,10 @@ class IntersectionGeometry:
         if set(self.crosswalk_entries) != {"A", "B"}:
             raise GeometryError(f"crosswalk_entries must have the keys A and B, "
                                 f"got {list(self.crosswalk_entries)}")
+        if not all(-COORD_LIMIT <= v <= COORD_LIMIT
+                   for q in self.crosswalk_entries.values() for v in q):
+            raise GeometryError(f"crosswalk_entries must lie within +-{COORD_LIMIT:g}, "
+                                f"got {self.crosswalk_entries}")
         if self.frame_size == (0.0, 0.0):
             object.__setattr__(self, "frame_size", self._default_frame_size())
         if not (self.frame_size[0] >= MIN_FRAME_SIDE and self.frame_size[1] >= MIN_FRAME_SIDE):
@@ -236,22 +268,18 @@ class IntersectionGeometry:
                                 f"got {self.frame_size}")
         object.__setattr__(self, "frame_diagonal",
                            math.hypot(self.frame_size[0], self.frame_size[1]))
-        # Per-zone constants for the per-frame queries. They are not fields, so
-        # equality, to_dict and the config file do not see them. The tiers are
-        # the resolution order when zones overlap: a VRU on a crosswalk is
-        # crossing no matter what else contains the point.
+        # Per-zone constants for the per-frame queries, from each zone's own.
+        # They are not fields, so equality, to_dict and the config file do not
+        # see them. The tiers are the resolution order when zones overlap: a
+        # VRU on a crosswalk is crossing no matter what else contains the point.
         tiers = ((self.crossing_zones, ZoneType.CROSSING),
                  (self.start_crossing_zones, ZoneType.START_CROSSING),
                  (self.waiting_areas, ZoneType.WAITING))
         object.__setattr__(self, "_classify_order", tuple(
-            (_reject_box(z.polygon), _edges(z.polygon), ZoneKind(kind, z.zone_id, z.label))
+            (z._reject_box, z._edges, ZoneKind(kind, z.zone_id, z.label))
             for zones, kind in tiers for z in zones))
-        object.__setattr__(self, "_waiting", tuple(
-            (_reject_box(z.polygon), _edges(z.polygon),
-             (sum(q[0] for q in z.polygon) / len(z.polygon),
-              sum(q[1] for q in z.polygon) / len(z.polygon)),
-             polygon_area(z.polygon) / self.frame_area)
-            for z in self.waiting_areas))
+        object.__setattr__(self, "_compactness", tuple(
+            z.area / self.frame_area for z in self.waiting_areas))
 
     def _default_frame_size(self) -> tuple[float, float]:
         xs = [self.crop_rect[0] + self.crop_rect[2]]
@@ -275,6 +303,7 @@ class IntersectionGeometry:
         priority tier the first zone in declaration order wins.
         """
         x, y = p
+        # Zone.contains, inlined: this runs for every track on every frame
         for (x0, y0, x1, y1), edges, zone_kind in self._classify_order:
             if x0 <= x <= x1 and y0 <= y <= y1 and _inside(x, y, edges):
                 return zone_kind
@@ -289,22 +318,19 @@ class IntersectionGeometry:
         return (cx + x, cy + y)
 
     def _waiting_index(self, p: Point) -> Optional[int]:
-        waiting = self._waiting
+        waiting = self.waiting_areas
         if len(waiting) < 2:  # the one area serves every point
             return 0 if waiting else None
-        x, y = p
-        for i, ((x0, y0, x1, y1), edges, _, _) in enumerate(waiting):
-            if x0 <= x <= x1 and y0 <= y <= y1 and _inside(x, y, edges):
+        for i, zone in enumerate(waiting):
+            if zone.contains(p):
                 return i
-        centroids = [c for _, _, c, _ in waiting]
-        return min(range(len(centroids)),
-                   key=lambda i: math.hypot(x - centroids[i][0], y - centroids[i][1]))
+        return min(range(len(waiting)), key=lambda i: math.dist(p, waiting[i].centroid))
 
     def waiting_compactness(self, p: Point) -> float:
         """Area over frame area of the waiting area containing p, else of the
         nearest one by centroid; 0.0 without waiting areas."""
         i = self._waiting_index(p)
-        return 0.0 if i is None else self._waiting[i][3]
+        return 0.0 if i is None else self._compactness[i]
 
     # --- config file -----------------------------------------------------
 
@@ -348,7 +374,7 @@ class IntersectionGeometry:
     @classmethod
     def load(cls, path: str | Path) -> "IntersectionGeometry":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            return cls.from_dict(JSON_DECODER.decode(fh.read()))
 
     def to_dict(self) -> dict:
         def zones(items: tuple[Zone, ...]) -> list:

@@ -19,8 +19,8 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .geom import (JSON_NUMBER, IntersectionGeometry, check_json_number, check_json_numbers,
-                   point_in_polygon, refuse_unknown_keys)
+from .geom import (COORD_LIMIT, JSON_DECODER, JSON_NUMBER, IntersectionGeometry,
+                   check_json_number, check_json_numbers, refuse_unknown_keys)
 
 VRU_CLASSES = ("pedestrian", "cyclist", "scooter", "e_scooter", "e_wheelchair")
 CONDITIONS = ("day", "night", "rain")
@@ -28,20 +28,11 @@ CONDITIONS = ("day", "night", "rain")
 N_KEYPOINTS = 17
 KP_NOSE, KP_LEFT_SHOULDER, KP_RIGHT_SHOULDER = 0, 5, 6
 
-# Bounds of a record (px). Every bbox and keypoint holds them, read from a
-# stream or built in code. Within the bounds every feature is finite, in
-# float32 too, for a geometry of camera scale (see README, stream format).
-COORD_LIMIT = 1e7      # |x| and |y| of a bbox or keypoint; bbox w and h
+# Bounds of a record (px), with COORD_LIMIT. Every bbox and keypoint holds
+# them, read from a stream or built in code. Within the bounds every feature
+# is finite, in float32 too, for a geometry of camera scale (see README,
+# stream format).
 MIN_BBOX_SIDE = 1e-3   # bbox w and h
-
-
-def _refuse_constant(literal: str):
-    raise ValueError(f"{literal} is not a JSON number")
-
-
-# one decoder for every line: json.loads with parse_constant would build one
-# per call. NaN and Infinity are Python extensions to JSON, refused here
-_JSON = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
 class StreamFormatError(ValueError):
@@ -257,7 +248,7 @@ def read_stream(path: str | Path) -> Iterator[FrameRecord]:
             if not line:
                 continue
             try:
-                obj = _JSON.decode(line)
+                obj = JSON_DECODER.decode(line)
             except ValueError as exc:
                 raise StreamFormatError(line_no, f"invalid JSON: {exc}") from exc
             rec = _record_from_obj(obj, line_no)
@@ -320,7 +311,7 @@ class ScenarioSpec:
     @classmethod
     def load(cls, path: str | Path) -> "ScenarioSpec":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            return cls.from_dict(JSON_DECODER.decode(fh.read()))
 
 
 @dataclass
@@ -410,26 +401,12 @@ class _SimTrack:
     face_angles: np.ndarray
 
 
-def _sample_in_polygon(rng: np.random.Generator, poly, margin: float) -> tuple[float, float]:
-    xs = [p[0] for p in poly]
-    ys = [p[1] for p in poly]
-    lo = (min(xs) + margin, min(ys) + margin)
-    hi = (max(xs) - margin, max(ys) - margin)
-    for _ in range(1000):
-        x = rng.uniform(lo[0], hi[0])
-        y = rng.uniform(lo[1], hi[1])
-        if point_in_polygon((x, y), poly):
-            return (x, y)
-    raise ValueError("could not place a VRU inside the waiting area")
-
-
 def _simulate_vru(rng: np.random.Generator, vru_id: int, label: str, vru_class: str,
                   spawn_frame: int, g: IntersectionGeometry, sigma: float) -> _SimTrack:
     wait = g.waiting_areas[vru_id % len(g.waiting_areas)]
     entry = g.crosswalk_entries[label]
     cross_zone = next(z for z in g.crossing_zones if z.label == label)
-    ccx = sum(p[0] for p in cross_zone.polygon) / len(cross_zone.polygon)
-    ccy = sum(p[1] for p in cross_zone.polygon) / len(cross_zone.polygon)
+    ccx, ccy = cross_zone.centroid
     axis = math.atan2(ccy - entry[1], ccx - entry[0])
 
     w0, h0 = _CLASS_SIZE[vru_class]
@@ -442,17 +419,22 @@ def _simulate_vru(rng: np.random.Generator, vru_id: int, label: str, vru_class: 
     offset0 = rng.uniform(-_ORIENT_JITTER, _ORIENT_JITTER)
     wobble = 0.006 * sigma
 
-    x, y = _sample_in_polygon(rng, wait.polygon, _EDGE_MARGIN)
     xs = [p[0] for p in wait.polygon]
     ys = [p[1] for p in wait.polygon]
-    lox, hix = min(xs) + _EDGE_MARGIN, max(xs) - _EDGE_MARGIN
-    loy, hiy = min(ys) + _EDGE_MARGIN, max(ys) - _EDGE_MARGIN
+    lox, loy = min(xs) + _EDGE_MARGIN, min(ys) + _EDGE_MARGIN
+    hix, hiy = max(xs) - _EDGE_MARGIN, max(ys) - _EDGE_MARGIN
+    for _ in range(1000):  # a uniform start in the waiting area, by rejection
+        x, y = rng.uniform(lox, hix), rng.uniform(loy, hiy)
+        if wait.contains((x, y)):
+            break
+    else:
+        raise ValueError("could not place a VRU inside the waiting area")
 
     centers, body, face = [], [], []
     for k in range(dwell):
         dx, dy = rng.normal(0.0, _IDLE_SIGMA, 2)
         nx, ny = x + dx, y + dy
-        if lox <= nx <= hix and loy <= ny <= hiy and point_in_polygon((nx, ny), wait.polygon):
+        if lox <= nx <= hix and loy <= ny <= hiy and wait.contains((nx, ny)):
             x, y = nx, ny
         bearing = math.atan2(entry[1] - y, entry[0] - x)
         decay = min(1.0, (dwell - k) / float(_ORIENT_FRAMES))
@@ -479,7 +461,7 @@ def _simulate_vru(rng: np.random.Generator, vru_id: int, label: str, vru_class: 
         body.append(heading)
         face.append(heading)
         frame = spawn_frame + len(centers) - 1
-        if crossing_entry is None and point_in_polygon((x, y), cross_zone.polygon):
+        if crossing_entry is None and cross_zone.contains((x, y)):
             crossing_entry = frame
         if crossing_entry is not None:
             frames_after_cross += 1
@@ -652,7 +634,7 @@ def read_labels(path: str | Path) -> list[VruTruth]:
     y, ``label`` A or B and ``class`` one of ``VRU_CLASSES``. Each error is a
     ValueError; one inside a VRU entry names the entry."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = _JSON.decode(fh.read())
+        obj = JSON_DECODER.decode(fh.read())
     if type(obj) is not dict or obj.get("schema") != LABELS_SCHEMA:
         raise ValueError(f"labels file must be a JSON object with schema {LABELS_SCHEMA!r}")
     refuse_unknown_keys(obj, ("schema", "vrus"), "labels file")

@@ -14,6 +14,8 @@ BETA2 = 0.999
 EPS = 1e-8
 PLATEAU_FACTOR = 0.5  # the LR is multiplied by this on a plateau
 PLATEAU_PATIENCE = 2  # epochs without improvement that make a plateau
+PLATEAU_THRESHOLD = 1e-4  # the val-loss drop below which an epoch has not improved
+LR_FLOOR = 1e-6  # the plateau halving never takes the LR below this
 
 
 @dataclass
@@ -82,24 +84,22 @@ class PlateauScheduler:
     """Halve the LR after two consecutive epochs without val-loss improvement.
 
     An epoch counts as improved when it beats the best seen loss by more than
-    the threshold. After a halving the counter resets; the LR never drops
-    below the floor.
+    PLATEAU_THRESHOLD. After a halving the counter resets; the LR never drops
+    below LR_FLOOR.
     """
 
-    def __init__(self, lr: float = 2.5e-4, threshold: float = 1e-4, floor: float = 1e-6):
+    def __init__(self, lr: float = 2.5e-4):
         self.lr = lr
-        self.threshold = threshold
-        self.floor = floor
         self.best = math.inf
         self.stale_epochs = 0
 
     def update(self, val_loss: float) -> float:
-        if val_loss < self.best - self.threshold:
+        if val_loss < self.best - PLATEAU_THRESHOLD:
             self.best = val_loss
             self.stale_epochs = 0
         else:
             self.stale_epochs += 1
             if self.stale_epochs >= PLATEAU_PATIENCE:
-                self.lr = max(self.floor, self.lr * PLATEAU_FACTOR)
+                self.lr = max(LR_FLOOR, self.lr * PLATEAU_FACTOR)
                 self.stale_epochs = 0
         return self.lr

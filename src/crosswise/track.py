@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Optional, Sequence
+from typing import Deque, Iterable, Optional, Sequence
 
 from .geom import OUTSIDE, GeometryError, IntersectionGeometry, ZoneKind
 from .ingest import Detection, PoseDetection
@@ -32,6 +32,19 @@ def iou(a: tuple[float, float, float, float], b: tuple[float, float, float, floa
     if inter <= 0.0:
         return 0.0
     return inter / (aw * ah + bw * bh - inter)
+
+
+def _greedy_pairs(candidates: Iterable[tuple[float, int, int]]) -> dict[int, int]:
+    """{track id: index} of the (score, track id, index) candidates taken in
+    ascending order, each track and each index at most once: the lowest score
+    wins, then the lowest track id, then the lowest index."""
+    matched: dict[int, int] = {}
+    used: set[int] = set()
+    for _, tid, i in sorted(candidates):
+        if tid not in matched and i not in used:
+            matched[tid] = i
+            used.add(i)
+    return matched
 
 
 @dataclass
@@ -101,16 +114,13 @@ class TrackTable:
         at 0.5 * max(track bbox side).
         """
         events = StepEvents()
-        free_tracks = set(self.tracks.keys())
-        free_dets = set(range(len(detections)))
-
         # a pair whose x- or y-extents do not overlap is exactly iou's
         # ix <= 0 or iy <= 0 case, so skipping it before the call changes no
         # pair and no match
         boxes = [(di, det.bbox) for di, det in enumerate(detections)]
         pairs = []
-        for tid in free_tracks:
-            tb = self.tracks[tid].bbox
+        for tid, track in self.tracks.items():
+            tb = track.bbox
             tx0, ty0 = tb[0], tb[1]
             tx1, ty1 = tx0 + tb[2], ty0 + tb[3]
             for di, db in boxes:
@@ -120,29 +130,26 @@ class TrackTable:
                 v = iou(tb, db)
                 if v >= IOU_MATCH_THRESHOLD:
                     pairs.append((-v, tid, di))
-        for _, tid, di in sorted(pairs):
-            if tid in free_tracks and di in free_dets:
-                self.tracks[tid].observe(frame_idx, detections[di], self.geometry)
-                events.updated.append(tid)
-                free_tracks.discard(tid)
-                free_dets.discard(di)
+        matched = _greedy_pairs(pairs)  # track id -> detection index
 
-        gated = []
-        for tid in free_tracks:
-            track = self.tracks[tid]
-            px, py = track.predicted_center(frame_idx)
-            gate = DIST_GATE_FACTOR * max(track.bbox[2], track.bbox[3])
-            for di in free_dets:
-                cx, cy = detections[di].center
-                d = math.hypot(cx - px, cy - py)
-                if d <= gate:
-                    gated.append((d, tid, di))
-        for _, tid, di in sorted(gated):
-            if tid in free_tracks and di in free_dets:
-                self.tracks[tid].observe(frame_idx, detections[di], self.geometry)
-                events.updated.append(tid)
-                free_tracks.discard(tid)
-                free_dets.discard(di)
+        # the gated pass reads only tracks that no detection has updated yet
+        free_dets = set(range(len(detections))).difference(matched.values())
+        if free_dets:
+            gated = []
+            for tid in self.tracks.keys() - matched.keys():
+                track = self.tracks[tid]
+                px, py = track.predicted_center(frame_idx)
+                gate = DIST_GATE_FACTOR * max(track.bbox[2], track.bbox[3])
+                for di in free_dets:
+                    cx, cy = detections[di].center
+                    d = math.hypot(cx - px, cy - py)
+                    if d <= gate:
+                        gated.append((d, tid, di))
+            matched.update(_greedy_pairs(gated))
+            free_dets.difference_update(matched.values())
+        for tid, di in matched.items():
+            self.tracks[tid].observe(frame_idx, detections[di], self.geometry)
+        events.updated = sorted(matched)
 
         for di in sorted(free_dets):
             det = detections[di]
@@ -156,8 +163,6 @@ class TrackTable:
                           if frame_idx - track.last_seen > self._retire_after]
         for tid in events.retired:
             del self.tracks[tid]
-
-        events.updated.sort()
         return events
 
     def merge_pose(self, poses: Sequence[PoseDetection]) -> list[int]:
@@ -189,14 +194,7 @@ class TrackTable:
 
         # only a pose that binds to a track is shifted to the full frame
         cx0, cy0, _, _ = self.geometry.crop_rect
-        assigned: list[int] = []
-        used_tracks: set[int] = set()
-        used_poses: set[int] = set()
-        for d, tid, pi in sorted(candidates):
-            if tid in used_tracks or pi in used_poses:
-                continue
+        matched = _greedy_pairs(candidates)  # track id -> pose index
+        for tid, pi in matched.items():
             self.tracks[tid].pose_latest = poses[pi].translated(cx0, cy0)
-            used_tracks.add(tid)
-            used_poses.add(pi)
-            assigned.append(tid)
-        return sorted(assigned)
+        return sorted(matched)

@@ -249,7 +249,7 @@ def test_10_lr_schedule():
     lrs = [sched.update(v) for v in (1.0, 1.0, 1.0)]
     assert lrs == [2.5e-4, 2.5e-4, 1.25e-4]
 
-    sched = PlateauScheduler(lr=2.5e-4, floor=1e-6)
+    sched = PlateauScheduler(lr=2.5e-4)  # LR_FLOOR is 1e-6
     trace = [sched.update(0.5) for _ in range(60)]
     assert trace[-1] == 1e-6
     assert min(trace) >= 1e-6

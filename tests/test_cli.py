@@ -1,9 +1,10 @@
+import argparse
 import json
 import socket
 
 import pytest
 
-from crosswise.cli import main
+from crosswise.cli import _train_config, main
 from crosswise.model import load_params
 
 
@@ -86,6 +87,13 @@ def test_sweep_heads_report(workspace):
                  "--report", str(report_path)]) == 0
     report = json.loads(report_path.read_text())
     assert report["rows"][-1]["source"] == "paper, private dataset"
+
+
+def test_train_config_refuses_non_finite(tmp_path):
+    path = tmp_path / "train.json"
+    path.write_text('{"epochs": 1, "lr": NaN}')
+    with pytest.raises(ValueError, match="NaN is not a JSON number"):
+        _train_config(argparse.Namespace(config=str(path)))
 
 
 def test_bench_report(workspace):

@@ -237,9 +237,10 @@ class TestTrainConfig:
         ({"epochs": 2.5}, "epochs"), ({"epochs": 0}, "epochs"), ({"seed": True}, "seed"),
         ({"batch_size": 0}, "batch_size"), ({"lr": "0.1"}, "lr"), ({"lr": 0}, "lr"),
         ({"clip_norm": -1.0}, "clip_norm"), ({"weight_decay": -1e-4}, "weight_decay"),
-        ({"lr_floor": float("nan")}, "lr_floor"), ({"dtype": "float16"}, "dtype"),
+        ({"lr_floor": 1e-6}, "lr_floor"), ({"dtype": "float16"}, "dtype"),
         ({"d_h": 255}, "d_h"), ({"n_heads": False}, "n_heads"),
-        ({"dropout": "0.5"}, "dropout"), ({"pooling": "max"}, "pooling")])
+        ({"dropout": "0.5"}, "dropout"), ({"pooling": "max"}, "pooling"),
+        ({"weight_decay": float("nan")}, "weight_decay")])
     def test_bad_values_refused_at_load(self, obj, match):
         # each would otherwise fail only inside train(), after the split and init
         with pytest.raises(ValueError, match=match):

@@ -10,7 +10,7 @@ from crosswise.features import (ANGLE_PAIRS, FEATURE_DIM, FEATURE_GROUPS, KP_CON
                                 geometric_features, mask_for_groups, motion_features,
                                 pose_features, step_features, temporal_filter)
 from crosswise.geom import (IntersectionGeometry, Zone, ZoneKind, ZoneType, demo_geometry,
-                            point_in_polygon, polygon_area)
+                            polygon_area)
 from crosswise.ingest import PoseDetection, _trusted_pose
 
 
@@ -306,8 +306,8 @@ def legacy_pose_features(pose):
 
 
 def legacy_compactness(g, p):
-    """The waiting area by the validating walk, else by nearest centroid."""
-    area = next((z for z in g.waiting_areas if point_in_polygon(p, z.polygon)), None)
+    """The waiting area by its containment test, else by nearest centroid."""
+    area = next((z for z in g.waiting_areas if z.contains(p)), None)
     if area is None:
         area = min(g.waiting_areas, key=lambda z: math.hypot(
             p[0] - sum(q[0] for q in z.polygon) / len(z.polygon),

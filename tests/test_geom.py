@@ -7,37 +7,42 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crosswise.geom import (MAX_FPS, MIN_FRAME_SIDE, MIN_PX_PER_METER, OUTSIDE,
+from crosswise import geom
+from crosswise.geom import (COORD_LIMIT, MAX_FPS, MIN_FRAME_SIDE, MIN_PX_PER_METER, OUTSIDE,
                             GeometryError, IntersectionGeometry, Zone, ZoneKind, ZoneType,
-                            _reject_box, demo_geometry, point_in_polygon, polygon_area)
+                            _inside, _reject_box, demo_geometry, polygon_area)
+from crosswise.ingest import ScenarioSpec, generate_scenario
 
 UNIT_SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+SQUARE = Zone("square", UNIT_SQUARE)
 
 
 class TestPointInPolygon:
+    """Zone.contains."""
+
     def test_inside(self):
-        assert point_in_polygon((0.5, 0.5), UNIT_SQUARE)
+        assert SQUARE.contains((0.5, 0.5))
 
     def test_outside(self):
-        assert not point_in_polygon((2.0, 2.0), UNIT_SQUARE)
+        assert not SQUARE.contains((2.0, 2.0))
 
     def test_boundary_counts_as_inside(self):
-        assert point_in_polygon((1.0, 0.5), UNIT_SQUARE)
-        assert point_in_polygon((0.0, 0.0), UNIT_SQUARE)  # vertex
+        assert SQUARE.contains((1.0, 0.5))
+        assert SQUARE.contains((0.0, 0.0))  # vertex
 
     def test_degenerate_polygon_rejected(self):
-        with pytest.raises(GeometryError):
-            point_in_polygon((0.0, 0.0), ((0, 0), (1, 1), (2, 2)))
+        with pytest.raises(GeometryError, match="degenerate"):
+            Zone("z", ((0, 0), (1, 1), (2, 2)))
 
     def test_too_few_vertices_rejected(self):
-        with pytest.raises(GeometryError):
-            point_in_polygon((0.0, 0.0), ((0, 0), (1, 1)))
+        with pytest.raises(GeometryError, match="2 vertices"):
+            Zone("z", ((0, 0), (1, 1)))
 
     def test_concave_polygon(self):
         # L-shape: the notch is outside
-        poly = ((0, 0), (4, 0), (4, 4), (3, 4), (3, 1), (0, 1))
-        assert point_in_polygon((3.5, 2.0), poly)
-        assert not point_in_polygon((1.0, 2.0), poly)
+        zone = Zone("L", ((0, 0), (4, 0), (4, 4), (3, 4), (3, 1), (0, 1)))
+        assert zone.contains((3.5, 2.0))
+        assert not zone.contains((1.0, 2.0))
 
     def test_random_points_vs_convex_halfplane_check(self):
         # oracle for a convex quad: inside iff on one side of every edge
@@ -59,10 +64,45 @@ class TestPointInPolygon:
                     return False
             return True
 
+        zone = Zone("quad", poly)
         rng = np.random.default_rng(3)
         for _ in range(300):
             p = tuple(rng.uniform(-1, 5, 2))
-            assert point_in_polygon(p, poly) == inside_convex(p)
+            assert zone.contains(p) == inside_convex(p)
+
+    def test_constants_stay_out_of_equality_and_repr(self):
+        assert Zone("square", UNIT_SQUARE) == SQUARE
+        assert hash(Zone("square", UNIT_SQUARE)) == hash(SQUARE)
+        assert repr(SQUARE) == f"Zone(zone_id='square', polygon={UNIT_SQUARE!r}, label=None)"
+        assert (SQUARE.area, SQUARE.centroid) == (1.0, (0.5, 0.5))
+
+
+class TestZoneConstantsBuiltOnce:
+    """Each zone builds its containment constants once, when it is made."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"_edges": 0, "_reject_box": 0, "polygon_area": 0}
+        for name in calls:
+            def counted(poly, _orig=getattr(geom, name), _name=name):
+                calls[_name] += 1
+                return _orig(poly)
+            monkeypatch.setattr(geom, name, counted)
+        return calls
+
+    def test_once_per_zone_at_build(self, calls):
+        g = demo_geometry()
+        n_zones = len(g.waiting_areas) + len(g.start_crossing_zones) + len(g.crossing_zones)
+        assert calls == {"_edges": n_zones, "_reject_box": n_zones, "polygon_area": n_zones}
+
+    def test_never_after_build(self, calls):
+        g = demo_geometry()
+        built = dict(calls)
+        generate_scenario(ScenarioSpec(n_vrus=4, seed=1), g)
+        for p in ((600.0, 480.0), (5.0, 5.0), (520.0, 480.0)):
+            g.classify_point(p)
+            g.waiting_compactness(p)
+        assert calls == built
 
 
 class TestClassifyPoint:
@@ -107,20 +147,25 @@ DEMO_EDGES = [(z.polygon[i - 1], z.polygon[i]) for z in DEMO_ZONES
 OFFSETS = (0.0, 1e-10, -1e-10, 1e-9, -1e-9, 2e-9, -2e-9)
 
 
+def walk(p, zone):
+    """The zone's edge walk, without its bbox reject."""
+    return _inside(p[0], p[1], zone._edges)
+
+
 def reference_classify(g, p):
-    """classify_point through the validating test, without the bbox reject."""
+    """classify_point through the edge walk, without the bbox reject."""
     for zones, kind in ((g.crossing_zones, ZoneType.CROSSING),
                         (g.start_crossing_zones, ZoneType.START_CROSSING),
                         (g.waiting_areas, ZoneType.WAITING)):
         for zone in zones:
-            if point_in_polygon(p, zone.polygon):
+            if walk(p, zone):
                 return ZoneKind(kind, zone.zone_id, zone.label)
     return OUTSIDE
 
 
 def reference_waiting_area(g, p):
     for zone in g.waiting_areas:
-        if point_in_polygon(p, zone.polygon):
+        if walk(p, zone):
             return zone
 
     def centroid_dist(zone):
@@ -172,7 +217,7 @@ class TestZoneQueriesMatchValidatingTest:
                                                                0.4305958814059121)
         poly = (near, far, (far[0], near[1] + 5.0))
         p = (near[0] + 1e-7, 0.430595881405912)
-        assert point_in_polygon(p, poly)
+        assert walk(p, Zone("far", poly)) and Zone("far", poly).contains(p)
         x0, y0, x1, y1 = _reject_box(poly)
         assert x0 <= p[0] <= x1 and y0 <= p[1] <= y1
 
@@ -380,6 +425,43 @@ class TestGeometryValidation:
         with pytest.raises(GeometryError, match="crosswalk_entries"):
             IntersectionGeometry.from_dict(cfg)
 
+    @pytest.mark.parametrize("key,value", [
+        ("crosswalk_entries", [math.nan, 490.0]), ("crosswalk_entries", [440.0, -math.inf]),
+        ("crossing_zones", [math.inf, 420.0]), ("waiting_areas", [520.0, math.nan])])
+    def test_non_finite_coordinate_refused_at_load(self, geometry, tmp_path, key, value):
+        # a NaN entry would load and abort Pipeline.step at the first track
+        # with "non-finite feature vector"
+        cfg = geometry.to_dict()
+        if key == "crosswalk_entries":
+            cfg[key]["A"] = value
+        else:
+            cfg[key][0]["polygon"][0] = value
+        path = tmp_path / "geometry.json"
+        path.write_text(json.dumps(cfg))  # writes NaN and Infinity literals
+        with pytest.raises(ValueError, match="is not a JSON number"):
+            IntersectionGeometry.load(path)
+
+    @pytest.mark.parametrize("key", ["waiting_areas", "start_crossing_zones",
+                                     "crossing_zones", "crosswalk_entries"])
+    @pytest.mark.parametrize("value", [1.0000001e7, -2e7, 1e300, math.nan, math.inf])
+    def test_coordinate_held_to_camera_scale(self, geometry, key, value):
+        cfg = geometry.to_dict()
+        if key == "crosswalk_entries":
+            cfg[key]["B"] = [600.0, value]
+        else:
+            cfg[key][-1]["polygon"][0][0] = value
+        # a vertex of NaN or inf can make the zone's own area check refuse first
+        with pytest.raises(GeometryError, match=f"{key}|degenerate"):
+            IntersectionGeometry.from_dict(cfg)
+
+    def test_coordinate_at_camera_scale_accepted(self, geometry):
+        entries = {"A": (-COORD_LIMIT, COORD_LIMIT), "B": (COORD_LIMIT, 340.0)}
+        cross = Zone("far", ((0.0, -COORD_LIMIT), (COORD_LIMIT, -COORD_LIMIT),
+                             (COORD_LIMIT, 0.0)), "B")
+        g = replace(geometry, crosswalk_entries=entries,
+                    crossing_zones=(geometry.crossing_zones[0], cross))
+        assert g.classify_point((COORD_LIMIT - 1.0, -1.0)).zone_id == "far"
+
     def test_labels_ids_and_entries_checked_in_code(self, geometry):
         start = geometry.start_crossing_zones
         with pytest.raises(GeometryError, match="start_crossing_zones"):
@@ -480,7 +562,7 @@ class TestEdgeWalkMatchesLegacyWalk:
     @given(polygon_and_point())
     def test_point_in_polygon(self, case):
         poly, p = case
-        assert point_in_polygon(p, poly) == legacy_even_odd(p, poly)
+        assert Zone("z", poly).contains(p) == legacy_even_odd(p, poly)
 
     @given(st.one_of(demo_points, st.builds(
         lambda p, dx, dy: (p[0] + dx, p[1] + dy), boundary_points,
@@ -500,7 +582,7 @@ class TestEdgeWalkMatchesLegacyWalk:
                                    (math.nan, math.nan)])
     def test_nan_is_in_no_zone(self, p):
         for zone in DEMO_ZONES:
-            assert not point_in_polygon(p, zone.polygon)
+            assert not zone.contains(p)
         assert DEMO.classify_point(p) is OUTSIDE
 
 

@@ -286,6 +286,14 @@ class TestScenarioSpecFile:
         with pytest.raises(ValueError, match="noise"):
             ScenarioSpec.from_dict({"n_vrus": 3, "noise": 2.0})
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_refused_at_load(self, tmp_path, literal):
+        # noise_sigma NaN passes the >= 0 check as no comparison holds
+        path = tmp_path / "spec.json"
+        path.write_text(f'{{"n_vrus": 3, "noise_sigma": {literal}}}')
+        with pytest.raises(ValueError, match=f"{literal} is not a JSON number"):
+            ScenarioSpec.load(path)
+
     @pytest.mark.parametrize("key,value", [("n_vrus", 3.9), ("n_vrus", 3.0),
                                            ("seed", True), ("max_concurrent", "6")])
     def test_integer_fields_must_be_integers(self, key, value):

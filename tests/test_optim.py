@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from crosswise.model import ModelConfig, init_params
-from crosswise.optim import (AdamWConfig, AdamWState, PlateauScheduler, adamw_step,
-                             clip_gradients, global_grad_norm)
+from crosswise.optim import (LR_FLOOR, PLATEAU_THRESHOLD, AdamWConfig, AdamWState,
+                             PlateauScheduler, adamw_step, clip_gradients, global_grad_norm)
 
 
 def tiny_params(seed=0):
@@ -107,13 +107,14 @@ class TestPlateauScheduler:
         assert lrs == [2.5e-4, 2.5e-4, 1.25e-4, 1.25e-4, 6.25e-5]
 
     def test_improvement_below_threshold_is_a_plateau(self):
-        sched = PlateauScheduler(lr=2.5e-4, threshold=1e-4)
+        assert PLATEAU_THRESHOLD == 1e-4
+        sched = PlateauScheduler(lr=2.5e-4)
         lrs = [sched.update(v) for v in (1.0, 1.0 - 5e-5, 1.0 - 9e-5)]
         assert lrs[-1] == 1.25e-4
 
     def test_floor_respected(self):
-        sched = PlateauScheduler(lr=2.5e-4, floor=1e-6)
+        sched = PlateauScheduler(lr=2.5e-4)
         lr = 2.5e-4
         for _ in range(40):
             lr = sched.update(1.0)
-        assert lr == 1e-6
+        assert lr == LR_FLOOR == 1e-6

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crosswise.geom import ZoneType
+from crosswise.geom import ZoneType, demo_geometry
 from crosswise.ingest import Detection, PoseDetection
-from crosswise.track import (DIST_GATE_FACTOR, IOU_MATCH_THRESHOLD, StepEvents,
-                             Track, TrackTable, iou)
+from crosswise.track import (DIST_GATE_FACTOR, IOU_MATCH_THRESHOLD, POSE_GATE_FACTOR,
+                             StepEvents, Track, TrackTable, iou)
 
 
 def det(x, y, w=30.0, h=60.0, cls="pedestrian"):
@@ -300,6 +300,68 @@ class TestAssociateMatchesBruteForce:
         # distance gate around its center
         events = table.associate([det(615, 460)], 1)
         assert events.created and not events.updated
+
+
+def brute_force_merge_pose(table, poses):
+    """merge_pose as a repeated minimum over every (distance, track id, pose
+    index) candidate: take the least, drop every candidate that shares its
+    track or its pose, repeat. Returns {track id: pose index}."""
+    cx0, cy0, cw, ch = table.geometry.crop_rect
+    candidates = []
+    for pi, pose in enumerate(poses):
+        px, py = pose.center
+        if not (0.0 <= px <= cw and 0.0 <= py <= ch):
+            continue
+        for tid, track in table.tracks.items():
+            d = math.hypot(cx0 + px - track.center[0], cy0 + py - track.center[1])
+            if (track.zone.kind in (ZoneType.WAITING, ZoneType.START_CROSSING)
+                    and d <= POSE_GATE_FACTOR * max(track.bbox[2], track.bbox[3])):
+                candidates.append((d, tid, pi))
+    assigned = {}
+    while candidates:
+        _, tid, pi = min(candidates)
+        assigned[tid] = pi
+        candidates = [c for c in candidates if c[1] != tid and c[2] != pi]
+    return assigned
+
+
+# centers on a 5 px grid around the crop, so that equal distances are common
+grid = st.integers(-4, 52).map(lambda k: 5.0 * k)
+
+
+@st.composite
+def tracks_and_poses(draw):
+    """Track centers and sizes (full frame) and pose centers (crop image)."""
+    sizes = st.sampled_from(((30.0, 60.0), (40.0, 80.0), (20.0, 40.0)))
+    cx0, cy0 = demo_geometry().crop_rect[:2]
+    tracks = draw(st.lists(st.tuples(grid.map(lambda v: cx0 + v), grid.map(lambda v: cy0 + v),
+                                     sizes), max_size=8))
+    poses = draw(st.lists(st.tuples(grid, grid), max_size=8))
+    # a pose placed at equal distance from two tracks
+    if len(tracks) >= 2 and draw(st.booleans()):
+        (ax, ay, _), (bx, by, _) = tracks[0], tracks[1]
+        poses.append(((ax + bx) / 2 - cx0, (ay + by) / 2 - cy0))
+    return tracks, poses
+
+
+class TestMergePoseMatchesBruteForce:
+    @given(tracks_and_poses())
+    def test_same_assignment_and_pose_bytes(self, geometry, case):
+        tracks, centers = case
+        table = TrackTable(geometry)
+        table.associate([Detection((x - w / 2, y - h / 2, w, h), "pedestrian", 0.9)
+                         for x, y, (w, h) in tracks], 0)
+        poses = [pose_at_crop(x, y) for x, y in centers]
+        want = brute_force_merge_pose(table, poses)
+        assert table.merge_pose(poses) == sorted(want)
+        cx0, cy0, _, _ = geometry.crop_rect
+        for tid, track in table.tracks.items():
+            if tid not in want:
+                assert track.pose_latest is None
+                continue
+            ref = poses[want[tid]].translated(cx0, cy0)
+            assert np.array(track.pose_latest.bbox).tobytes() == np.array(ref.bbox).tobytes()
+            assert track.pose_latest.keypoints.tobytes() == ref.keypoints.tobytes()
 
 
 class TestMergePoseTranslatesAssignedOnly:
