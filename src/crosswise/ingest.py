@@ -263,6 +263,10 @@ def read_stream(path: str | Path) -> Iterator[FrameRecord]:
 
 # --- synthetic scenarios -----------------------------------------------------
 
+# px: keypoint jitter of camera scale. Beyond a bbox's size it leaves no pose;
+# far beyond it keypoints leave COORD_LIMIT and the generator aborts part way.
+MAX_NOISE_SIGMA = 100.0
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -286,8 +290,9 @@ class ScenarioSpec:
         for cls in self.class_mix:
             if cls not in VRU_CLASSES:
                 raise ValueError(f"unknown VRU class {cls!r}")
-        if self.noise_sigma < 0:
-            raise ValueError("noise sigma must be >= 0")
+        if not 0.0 <= self.noise_sigma <= MAX_NOISE_SIGMA:  # NaN fails too
+            raise ValueError(f"noise_sigma must be in [0, {MAX_NOISE_SIGMA:g}] px, "
+                             f"got {self.noise_sigma!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if self.condition not in CONDITIONS:

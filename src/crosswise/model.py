@@ -21,12 +21,10 @@ finite-difference gradient checks rely on that.
 
 from __future__ import annotations
 
-import base64
 import functools
 import json
 import math
 import os
-import re
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -35,8 +33,9 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .features import FEATURE_DIM, LAYOUT_HASH, FeatureWindow
+from .geom import JSON_DECODER, refuse_unknown_keys
 
-WEIGHT_FILE_VERSION = 2
+WEIGHT_FILE_VERSION = 3
 WEIGHT_DTYPES = ("float32", "float64")
 
 
@@ -570,119 +569,71 @@ def backward_batch(cache: dict, y: np.ndarray, params: ModelParams
 # --- serialization ------------------------------------------------------------
 
 
-_FLAT_KEY = re.compile(rb'[{,]\s*"flat"\s*:\s*"')  # up to the payload's opening quote
-_READ_CHUNK = 1 << 16
+_HEADER_LIMIT = 1 << 16  # bytes: the longest header line load_params reads
+_BLOCK = 1 << 16  # elements per block of the finiteness check
 
 
 def params_to_json_bytes(params: ModelParams) -> bytes:
+    """The version-3 weight file: one line of JSON with sorted keys, then the
+    flat buffer's little-endian bytes."""
     flat = params.flat
-    little_endian = flat.astype(flat.dtype.newbyteorder("<"), copy=False)
-    obj = {
-        "version": WEIGHT_FILE_VERSION,
-        "layout_hash": LAYOUT_HASH,
-        "config": {**asdict(params.config), "dtype": flat.dtype.name},
-        "flat": base64.b64encode(little_endian.tobytes()).decode("ascii"),
-    }
-    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    header = {"version": WEIGHT_FILE_VERSION, "layout_hash": LAYOUT_HASH,
+              "config": {**asdict(params.config), "dtype": flat.dtype.name}}
+    return ((json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n").encode()
+            + flat.astype(flat.dtype.newbyteorder("<"), copy=False).tobytes())
 
 
 def save_params(params: ModelParams, path: str | Path) -> None:
     Path(path).write_bytes(params_to_json_bytes(params))
 
 
-def _read_weight_file(path: str | Path) -> tuple[bytearray, np.ndarray]:
-    """The document with its ``flat`` payload cut out (``"flat":""``), and the
-    payload's decoded bytes; the whole document and no bytes when no
-    ``"flat"`` key holds a string.
-
-    The file is read 64 KiB at a time. The payload, the first string value of
-    a ``"flat"`` key, is measured up to its closing quote, then base64-decoded
-    chunk by chunk into a buffer of the size it decodes to. Each non-final
-    chunk holds whole 4-character groups; the last group before the chunk's
-    end or its trailing ``=`` run is held back with that run, so the final
-    chunk decodes as the whole payload would (excess padding included).
-    """
-    with open(path, "rb") as fh:
-        head, pos = bytearray(), 0
-        while (match := _FLAT_KEY.search(head, pos)) is None:
-            chunk = fh.read(_READ_CHUNK)
-            if not chunk:
-                return head, np.empty(0, np.uint8)
-            # a match running into the new chunk starts at the last "{" or ","
-            pos = max(pos, head.rfind(b"{", pos), head.rfind(b",", pos))
-            head += chunk
-        start, length, end = match.end(), 0, -1
-        fh.seek(start)
-        while end < 0:
-            chunk = fh.read(_READ_CHUNK)
-            if not chunk:
-                raise ValueError("the file ends inside the 'flat' payload")
-            end = chunk.find(b'"')
-            length += len(chunk) if end < 0 else end
-        # sized exactly, less the padding: a later load of the same model
-        # fits in the hole this buffer leaves when freed
-        buf = np.empty(length // 4 * 3, np.uint8)
-        fh.seek(start)
-        n, carry = 0, b""
-        for offset in range(0, length, _READ_CHUNK):
-            part = carry + fh.read(min(_READ_CHUNK, length - offset))
-            final = offset + _READ_CHUNK >= length
-            cut = len(part) if final else max(len(part.rstrip(b"=")) - 1, 0) // 4 * 4
-            raw = base64.b64decode(part[:cut], validate=True)
-            if not final and len(raw) != cut // 4 * 3:
-                raise ValueError("padding inside the 'flat' payload")
-            buf[n:n + len(raw)] = np.frombuffer(raw, np.uint8)
-            n, carry = n + len(raw), part[cut:]
-        buf.resize(n, refcheck=False)
-        return head[:start] + fh.read(), buf
-
-
 def load_params(path: str | Path) -> ModelParams:
-    """Read a version-2 weight file; anything malformed raises ModelError.
+    """Read a version-3 weight file; anything malformed raises ModelError.
 
-    The ``flat`` payload is streamed into the parameter buffer (see
-    ``_read_weight_file``), so a JSON escape inside it is refused, and so is a
-    ``flat`` key anywhere but once in the top-level object.
-    """
-    keys: list[str] = []
-
-    def pairs_to_dict(pairs):
-        keys.extend(k for k, _ in pairs)
-        return dict(pairs)
-
-    try:
-        text, raw = _read_weight_file(path)
-        obj = json.loads(text.decode("utf-8"), object_pairs_hook=pairs_to_dict)
-    except ValueError as exc:
-        raise ModelError(f"weight file is not JSON, or 'flat' is not plain base64: "
-                         f"{exc!r}") from exc
-    version = obj.get("version") if isinstance(obj, dict) else None
-    if version != WEIGHT_FILE_VERSION:
-        raise ModelError(f"unsupported weight file version {version!r}; "
-                         f"only version {WEIGHT_FILE_VERSION} is read")
-    if keys.count("flat") != 1 or obj.get("flat") != "":
-        raise ModelError("'flat' must be a base64 string, in the top-level object only, "
-                         "once")
-    try:
-        cfg = obj["config"]
-        config = ModelConfig(**{f.name: cfg[f.name] for f in fields(ModelConfig)})
-        dtype_name, layout_hash = cfg["dtype"], obj["layout_hash"]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ModelError(f"malformed weight file: {exc!r}") from exc
-    if layout_hash != LAYOUT_HASH:
-        raise LayoutMismatchError(
-            f"weights built for layout {layout_hash}, code has {LAYOUT_HASH}")
-    if dtype_name not in WEIGHT_DTYPES:
-        raise ModelError(f"weight file dtype {dtype_name!r} is not one of {WEIGHT_DTYPES}")
-    dtype = np.dtype(dtype_name)
-    size = _layout(config)[1]
-    if raw.size != size * dtype.itemsize:
-        raise ModelError(f"weight buffer holds {raw.size} bytes, "
-                         f"the layout needs {size * dtype.itemsize}")
-    # the file's bytes are little-endian: a view on such hosts, a copy elsewhere
-    flat = raw.view(dtype.newbyteorder("<")).astype(dtype, copy=False)
+    The header line is read with the stream's NaN-refusing decoder, and the
+    payload straight into a parameter buffer sized from the header."""
+    with open(path, "rb") as fh:
+        line = fh.readline(_HEADER_LIMIT)
+        if not line.endswith(b"\n"):
+            raise ModelError(f"weight file has no header line in its first "
+                             f"{_HEADER_LIMIT} bytes")
+        try:
+            header = JSON_DECODER.decode(line.decode("utf-8"))
+        except ValueError as exc:
+            raise ModelError(f"weight file header is not JSON: {exc!r}") from exc
+        version = header.get("version") if isinstance(header, dict) else None
+        if version != WEIGHT_FILE_VERSION:
+            raise ModelError(f"unsupported weight file version {version!r}; "
+                             f"only version {WEIGHT_FILE_VERSION} is read")
+        refuse_unknown_keys(header, ("config", "layout_hash", "version"),
+                            "weight file header", ModelError)
+        try:
+            cfg = header["config"]
+            refuse_unknown_keys(cfg, [*(f.name for f in fields(ModelConfig)), "dtype"],
+                                "weight file config", ModelError)
+            config = ModelConfig(**{f.name: cfg[f.name] for f in fields(ModelConfig)})
+            dtype_name, layout_hash = cfg["dtype"], header["layout_hash"]
+        except (KeyError, TypeError) as exc:
+            raise ModelError(f"malformed weight file: {exc!r}") from exc
+        if layout_hash != LAYOUT_HASH:
+            raise LayoutMismatchError(
+                f"weights built for layout {layout_hash}, code has {LAYOUT_HASH}")
+        if dtype_name not in WEIGHT_DTYPES:
+            raise ModelError(f"weight file dtype {dtype_name!r} is not one of {WEIGHT_DTYPES}")
+        dtype = np.dtype(dtype_name)
+        size = _layout(config)[1]
+        # measured before a buffer of the header's size is allocated
+        held = os.fstat(fh.fileno()).st_size - fh.tell()
+        if held != size * dtype.itemsize:
+            raise ModelError(f"weight buffer holds {held} bytes after the header, "
+                             f"the layout needs {size * dtype.itemsize}")
+        # the file's bytes are little-endian: read in place on such hosts,
+        # swapped into a copy elsewhere
+        flat = np.empty(size, dtype.newbyteorder("<"))
+        if fh.readinto(flat) != flat.nbytes:
+            raise ModelError("weight file shrank while it was read")
+    flat = flat.astype(dtype, copy=False)
     # in blocks, so the check allocates no array the size of the buffer
-    if not all(np.isfinite(flat[i:i + _READ_CHUNK]).all()
-               for i in range(0, flat.size, _READ_CHUNK)):
+    if not all(np.isfinite(flat[i:i + _BLOCK]).all() for i in range(0, flat.size, _BLOCK)):
         raise ModelError("weight buffer holds a non-finite value")
     return ModelParams(config, flat)

@@ -20,8 +20,8 @@ LR_FLOOR = 1e-6  # the plateau halving never takes the LR below this
 
 @dataclass
 class AdamWConfig:
-    lr: float = 2.5e-4
-    weight_decay: float = 1e-4
+    lr: float
+    weight_decay: float
 
 
 @dataclass
@@ -44,7 +44,7 @@ def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
     return math.sqrt(total)
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = 1.0) -> None:
+def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
     """Scale all gradients in place by max_norm/norm when the global L2 norm
     exceeds it."""
     norm = global_grad_norm(grads)
@@ -88,7 +88,7 @@ class PlateauScheduler:
     below LR_FLOOR.
     """
 
-    def __init__(self, lr: float = 2.5e-4):
+    def __init__(self, lr: float):
         self.lr = lr
         self.best = math.inf
         self.stale_epochs = 0

@@ -16,7 +16,7 @@ def workspace(tmp_path_factory):
     spec = root / "spec.json"
     data = root / "data.jsonl"
     labels = root / "labels.json"
-    weights = root / "weights.json"
+    weights = root / "weights.bin"
     cfg = root / "train.json"
 
     assert main(["make-geometry", "--out", str(geom)]) == 0

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from crosswise.geom import ZoneType
-from crosswise.ingest import (Detection, FrameRecord, PoseDetection, ScenarioSpec,
-                              StreamFormatError, VruTruth, _record_from_obj,
+from crosswise.ingest import (MAX_NOISE_SIGMA, Detection, FrameRecord, PoseDetection,
+                              ScenarioSpec, StreamFormatError, VruTruth, _record_from_obj,
                               generate_scenario, read_labels, read_stream, write_labels,
                               write_stream)
 
@@ -317,6 +317,25 @@ class TestScenarioSpecFile:
     def test_missing_n_vrus_refused(self):
         with pytest.raises(ValueError, match="n_vrus"):
             ScenarioSpec.from_dict({"seed": 1})
+
+    def test_noise_beyond_camera_scale_refused_at_load(self, tmp_path):
+        # this spec once loaded, and generate_scenario aborted part way on a
+        # keypoint beyond COORD_LIMIT
+        path = tmp_path / "spec.json"
+        path.write_text('{"n_vrus": 2, "noise_sigma": 1e8}')
+        with pytest.raises(ValueError, match="noise_sigma"):
+            ScenarioSpec.load(path)
+
+    def test_nan_noise_refused(self):
+        # NaN fails every comparison, so a one-sided check let it through
+        with pytest.raises(ValueError, match="noise_sigma"):
+            ScenarioSpec(n_vrus=2, noise_sigma=float("nan"))
+
+    def test_noise_at_the_bound_generates(self, geometry):
+        # night doubles the jitter
+        spec = ScenarioSpec(n_vrus=2, noise_sigma=MAX_NOISE_SIGMA, condition="night", seed=3)
+        records, truths = generate_scenario(spec, geometry)
+        assert len(truths) == 2 and records
 
 
 class TestGenerator:

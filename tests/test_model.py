@@ -4,23 +4,20 @@ import hashlib
 import json
 import math
 import tracemalloc
-from dataclasses import asdict, fields
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from crosswise import model
-from crosswise.features import FEATURE_DIM, LAYOUT_HASH, FeatureWindow
+from crosswise.features import FEATURE_DIM, FeatureWindow
 from crosswise.model import (LayoutMismatchError, ModelConfig, ModelError, Prediction,
                              _gru_layer_forward, _mha_forward,
                              backward_batch, bce_from_logits, forward, forward_batch,
                              init_params, load_params, save_params, sigmoid, softmax_last)
-from crosswise.model import (WEIGHT_DTYPES, WEIGHT_FILE_VERSION, ModelParams, _layout,
+from crosswise.model import (WEIGHT_DTYPES, WEIGHT_FILE_VERSION, ModelParams,
                              params_to_json_bytes)
 
 
@@ -310,11 +307,11 @@ class TestForward:
         # refused where the weights are loaded, so a stale weight file never
         # reaches a forward
         params = self.small_params()
-        path = tmp_path / "w.json"
+        path = tmp_path / "w.bin"
         save_params(params, path)
-        obj = json.loads(path.read_text())
-        obj["layout_hash"] = "0000000000000000"
-        path.write_text(json.dumps(obj))
+        header, payload = read_weight_file(path)
+        header["layout_hash"] = "0000000000000000"
+        write_weight_file(path, header, payload)
         with pytest.raises(LayoutMismatchError, match="0000000000000000"):
             load_params(path)
 
@@ -606,276 +603,146 @@ class TestSerialization:
             base = base or n
             assert n == base
 
+    @pytest.mark.parametrize("dtype", WEIGHT_DTYPES)
+    @pytest.mark.parametrize("pooling", ["mean", "last"])
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_flat_and_config_round_trip(self, tmp_path, dtype, pooling, n_heads):
+        cfg = ModelConfig(d_h=8, n_heads=n_heads, d_ff=6, dropout=0.25, pooling=pooling)
+        params = init_params(cfg, seed=n_heads, dtype=np.dtype(dtype))
+        path = tmp_path / "w.bin"
+        save_params(params, path)
+        loaded = load_params(path)
+        assert loaded.config == cfg
+        assert loaded.flat.dtype == params.flat.dtype
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+
     @staticmethod
-    def saved_obj(tmp_path, dtype=np.float64):
+    def saved_file(tmp_path, dtype=np.float64):
+        """(params, path, header, payload) of a small model saved to a file."""
         cfg = ModelConfig(d_in=FEATURE_DIM, d_h=16, n_heads=2, d_ff=12)
         params = init_params(cfg, seed=23).astype(dtype)
-        path = tmp_path / "w.json"
+        path = tmp_path / "w.bin"
         save_params(params, path)
-        return params, path, json.loads(path.read_text())
+        return (params, path, *read_weight_file(path))
 
     def test_version_1_file_refused(self, tmp_path):
-        params, path, obj = self.saved_obj(tmp_path)
-        del obj["flat"]
-        obj["version"] = 1
-        obj["tensors"] = {name: {"shape": list(t.shape), "data": t.ravel().tolist()}
-                          for name, t in params.named_tensors()}
-        path.write_text(json.dumps(obj))
+        params, path, header, _ = self.saved_file(tmp_path)
+        header["version"] = 1
+        header["tensors"] = {name: {"shape": list(t.shape)} for name, t in params.named_tensors()}
+        write_weight_file(path, header, b"")
         with pytest.raises(ModelError, match="version 1"):
+            load_params(path)
+
+    def test_version_2_file_refused(self, tmp_path):
+        # the whole-JSON document with a base64 payload that version 3 replaced;
+        # this small one fits in the header line limit
+        _, path, header, payload = self.saved_file(tmp_path)
+        header.update(version=2, flat=base64.b64encode(payload).decode("ascii"))
+        path.write_text(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+        with pytest.raises(ModelError, match="version 2"):
             load_params(path)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_truncated_buffer_refused(self, tmp_path, dtype):
-        _, path, obj = self.saved_obj(tmp_path, dtype)
-        raw = base64.b64decode(obj["flat"])
-        obj["flat"] = base64.b64encode(raw[:-np.dtype(dtype).itemsize]).decode()
-        path.write_text(json.dumps(obj))
+        _, path, header, payload = self.saved_file(tmp_path, dtype)
+        write_weight_file(path, header, payload[:-np.dtype(dtype).itemsize])
+        with pytest.raises(ModelError, match="bytes"):
+            load_params(path)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_trailing_byte_refused(self, tmp_path, dtype):
+        _, path, header, payload = self.saved_file(tmp_path, dtype)
+        write_weight_file(path, header, payload + b"\n")
+        with pytest.raises(ModelError, match="bytes"):
+            load_params(path)
+
+    def test_huge_layout_refused_before_allocation(self, tmp_path):
+        # a header alone sets no buffer size: this one would ask for 114 TB
+        _, path, header, payload = self.saved_file(tmp_path)
+        header["config"]["d_h"] = 1 << 20
+        write_weight_file(path, header, payload)
         with pytest.raises(ModelError, match="bytes"):
             load_params(path)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_weight_refused(self, tmp_path, dtype, value):
-        params, path, obj = self.saved_obj(tmp_path, dtype)
+        params, path, header, _ = self.saved_file(tmp_path, dtype)
         flat = params.flat.copy()
         flat[len(flat) // 2] = value
-        obj["flat"] = base64.b64encode(flat.astype(flat.dtype.newbyteorder("<"))
-                                       .tobytes()).decode()
-        path.write_text(json.dumps(obj))
+        write_weight_file(path, header, flat.astype(flat.dtype.newbyteorder("<")).tobytes())
         with pytest.raises(ModelError, match="non-finite"):
             load_params(path)
 
     def test_int8_dtype_refused(self, tmp_path):
-        _, path, obj = self.saved_obj(tmp_path)
-        obj["config"]["dtype"] = "int8"
-        path.write_text(json.dumps(obj))
+        _, path, header, payload = self.saved_file(tmp_path)
+        header["config"]["dtype"] = "int8"
+        write_weight_file(path, header, payload)
         with pytest.raises(ModelError, match="int8"):
             load_params(path)
 
-    @pytest.mark.parametrize("blob", ["not*base64!", "QUJD", "QUJ\u00e9", 42, None])
-    def test_bad_base64_refused(self, tmp_path, blob):
-        _, path, obj = self.saved_obj(tmp_path)
-        obj["flat"] = blob
-        path.write_text(json.dumps(obj))
-        with pytest.raises(ModelError):
-            load_params(path)
-
     def test_missing_field_refused(self, tmp_path):
-        _, path, obj = self.saved_obj(tmp_path)
-        del obj["config"]["d_ff"]
-        path.write_text(json.dumps(obj))
+        _, path, header, payload = self.saved_file(tmp_path)
+        del header["config"]["d_ff"]
+        write_weight_file(path, header, payload)
         with pytest.raises(ModelError, match="d_ff"):
             load_params(path)
 
     @pytest.mark.parametrize("key,value", [("n_heads", 0), ("d_h", -16), ("d_ff", 2.5),
                                            ("n_heads", True)])
     def test_bad_config_refused(self, tmp_path, key, value):
-        _, path, obj = self.saved_obj(tmp_path)
-        obj["config"][key] = value
-        path.write_text(json.dumps(obj))
+        _, path, header, payload = self.saved_file(tmp_path)
+        header["config"][key] = value
+        write_weight_file(path, header, payload)
         with pytest.raises(ModelError):
             load_params(path)
 
+    @pytest.mark.parametrize("where", ["header", "config"])
+    def test_unknown_header_key_refused(self, tmp_path, where):
+        _, path, header, payload = self.saved_file(tmp_path)
+        (header if where == "header" else header["config"])["flat"] = ""
+        write_weight_file(path, header, payload)
+        with pytest.raises(ModelError, match="unknown weight file .*'flat'"):
+            load_params(path)
+
+    def test_nan_in_header_refused(self, tmp_path):
+        _, path, header, payload = self.saved_file(tmp_path)
+        header["config"]["dropout"] = float("nan")
+        write_weight_file(path, header, payload)  # json.dumps writes NaN
+        with pytest.raises(ModelError, match="NaN is not a JSON number"):
+            load_params(path)
+
+    @pytest.mark.parametrize("pad", [0, 1 << 16])
+    def test_no_header_line_refused(self, tmp_path, pad):
+        # whitespace before the header is valid JSON, but no newline comes
+        # within the first 64 KiB; the header alone, unterminated, is refused too
+        _, path, header, payload = self.saved_file(tmp_path)
+        line = json.dumps(header).encode()
+        path.write_bytes(b" " * pad + line + (b"\n" + payload if pad else b""))
+        with pytest.raises(ModelError, match="no header line"):
+            load_params(path)
+
     def test_loaded_buffer_is_writable(self, tmp_path):
-        params, path, obj = self.saved_obj(tmp_path, np.float32)
-        assert obj["version"] == WEIGHT_FILE_VERSION
+        _, path, header, _ = self.saved_file(tmp_path, np.float32)
+        assert header["version"] == WEIGHT_FILE_VERSION
         loaded = load_params(path)
         assert loaded.flat.flags.writeable
         loaded.head.b2[...] = 3.0
         assert loaded.flat[-1] == 3.0
 
-
-def whole_file_load_params(path):
-    """The loader the streamed one replaced, kept as an oracle: json.loads over
-    the whole file, b64decode(validate=True) of ``flat``, then frombuffer.
-    Returns (config, flat); raises as that loader raised."""
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ModelError(f"weight file is not JSON: {exc}") from exc
-    version = obj.get("version") if isinstance(obj, dict) else None
-    if version != WEIGHT_FILE_VERSION:
-        raise ModelError(f"unsupported weight file version {version!r}")
-    try:
-        cfg = obj["config"]
-        config = ModelConfig(**{f.name: cfg[f.name] for f in fields(ModelConfig)})
-        dtype_name, layout_hash = cfg["dtype"], obj["layout_hash"]
-        raw = base64.b64decode(obj.pop("flat").encode("ascii"), validate=True)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ModelError(f"malformed weight file: {exc!r}") from exc
-    if layout_hash != LAYOUT_HASH:
-        raise LayoutMismatchError(layout_hash)
-    if dtype_name not in WEIGHT_DTYPES:
-        raise ModelError(dtype_name)
-    dtype = np.dtype(dtype_name)
-    if len(raw) != _layout(config)[1] * dtype.itemsize:
-        raise ModelError("length")
-    flat = np.frombuffer(raw, dtype.newbyteorder("<")).astype(dtype)
-    if not np.isfinite(flat).all():
-        raise ModelError("non-finite")
-    return config, flat
-
-
-class Obj(list):
-    """A JSON object as a list of (key, value) pairs: any order, any repeats."""
-
-
-def dump_json(value, item_sep: str, key_sep: str) -> str:
-    if isinstance(value, Obj):
-        return "{" + item_sep.join(json.dumps(k) + key_sep + dump_json(v, item_sep, key_sep)
-                                   for k, v in value) + "}"
-    if isinstance(value, bytes):  # JSON text written as is
-        return value.decode("ascii")
-    return json.dumps(value, separators=(item_sep, key_sep))
-
-
-_RESERVED_KEYS = {"version", "layout_hash", "config", "flat", "dtype",
-                  *(f.name for f in fields(ModelConfig))}
-_json_scalars = st.none() | st.booleans() | st.integers() | st.text(max_size=8)
-_extra_pairs = st.dictionaries(st.text(max_size=6).filter(lambda k: k not in _RESERVED_KEYS),
-                               _json_scalars | st.lists(_json_scalars, max_size=3),
-                               max_size=3).map(lambda d: list(d.items()))
-_whitespace = st.text(alphabet=" \t\n\r", max_size=2)
-# files only a hand edit makes, which the streamed loader refuses on purpose
-TIGHTENED = ("escape", "duplicate", "nested")
-
-
-@st.composite
-def weight_files(draw):
-    """(bytes of a weight file, whether it is a tightened case): a tiny model in
-    either dtype, its keys in any order with any JSON whitespace and extra keys,
-    and at most one edit to the payload and one to the structure. A duplicate
-    or nested ``flat`` holds the payload itself, or an empty string."""
-    dtype = draw(st.sampled_from(WEIGHT_DTYPES))
-    n_heads = draw(st.sampled_from([1, 2]))
-    config = ModelConfig(d_in=draw(st.integers(1, 3)), d_h=2 * n_heads, n_heads=n_heads,
-                         d_ff=draw(st.integers(1, 3)), pooling=draw(st.sampled_from(["mean", "last"])))
-    flat = init_params(config, seed=draw(st.integers(0, 99)), dtype=np.dtype(dtype)).flat
-    edit = draw(st.none() | st.sampled_from(["non_finite", "invalid_char", "inner_pad",
-                                             "truncate", "extra_pad"]))
-    if edit == "non_finite":
-        flat[draw(st.integers(0, flat.size - 1))] = draw(st.sampled_from([np.nan, np.inf]))
-    payload = base64.b64encode(flat.astype(flat.dtype.newbyteorder("<")).tobytes()).decode()
-    at = draw(st.integers(0, len(payload) - 1))
-    if edit == "invalid_char":
-        payload = payload[:at] + draw(st.sampled_from("!*-_.~ \u00e9")) + payload[at:]
-    elif edit == "inner_pad":
-        payload = payload[:at] + draw(st.sampled_from(["=", "=="])) + payload[at:]
-    elif edit == "truncate":
-        payload = payload[:at - at % 4 + draw(st.sampled_from([0, 1, 2, 3]))]
-    elif edit == "extra_pad":
-        payload += "=" * draw(st.integers(1, 5))
-
-    cfg = Obj([*asdict(config).items(), ("dtype", dtype), *draw(_extra_pairs)])
-    top = Obj([("version", WEIGHT_FILE_VERSION), ("layout_hash", LAYOUT_HASH), ("config", cfg),
-               ("flat", payload), *draw(_extra_pairs)])
-    change = draw(st.none() | st.sampled_from(["missing", "moved", "non_string", "version",
-                                               "layout", "dtype", "config", "non_utf8",
-                                               *TIGHTENED]))
-    if change in ("missing", "moved"):
-        del top[3]
-        if change == "moved":  # into config, or into an object of its own
-            where = draw(st.sampled_from([cfg, top]))
-            moved = ("flat", payload) if where is cfg else ("extra", Obj([("flat", payload)]))
-            where.insert(draw(st.integers(0, len(where))), moved)
-    elif change == "non_string":
-        top[3] = ("flat", draw(st.sampled_from([42, None, [payload], Obj([("b64", payload)])])))
-    elif change == "version":
-        top[0] = ("version", draw(st.sampled_from([1, 3, "2", 2.0, None])))
-    elif change == "layout":
-        top[1] = ("layout_hash", "0" * len(LAYOUT_HASH))
-    elif change == "dtype":
-        cfg[6] = ("dtype", draw(st.sampled_from(["int8", "float16", "<f4"])))
-    elif change == "config":
-        cfg[2] = ("n_heads", draw(st.sampled_from([0, True, "2", 2.5])))
-    elif change == "escape":  # one payload character as a JSON \u escape
-        i = draw(st.integers(0, len(payload) - 1))
-        top[3] = ("flat", ('"' + payload[:i] + "\\u%04x" % ord(payload[i])
-                           + payload[i + 1:] + '"').encode())
-    elif change == "duplicate":
-        top.insert(draw(st.integers(0, len(top))), ("flat", draw(st.sampled_from([payload, ""]))))
-    elif change == "nested":
-        where = draw(st.sampled_from([cfg, top]))
-        nested = ("flat", draw(st.sampled_from([payload, ""])))
-        where.insert(draw(st.integers(0, len(where))),
-                     nested if where is cfg else ("extra", Obj([nested])))
-    for obj in (cfg, top):
-        obj[:] = draw(st.permutations(obj))
-    item_sep = draw(_whitespace) + "," + draw(_whitespace)
-    key_sep = draw(_whitespace) + ":" + draw(_whitespace)
-    doc = (draw(_whitespace) + dump_json(top, item_sep, key_sep) + draw(_whitespace)).encode()
-    if change == "non_utf8":
-        at = draw(st.integers(0, doc.index(b'"flat"') if b'"flat"' in doc else len(doc)))
-        doc = doc[:at] + b"\xff" + doc[at:]
-    return doc, change in TIGHTENED
-
-
-class TestStreamedLoad:
-    @settings(max_examples=500, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(weight_files(), st.sampled_from([1, 3, 4, 7, 64, 1 << 16]))
-    def test_same_result_as_the_parsed_loader(self, tmp_path, case, chunk):
-        # small read chunks put chunk boundaries all through these tiny files
-        doc, tightened = case
-        path = tmp_path / "w.json"
-        path.write_bytes(doc)
-        try:
-            expected = whole_file_load_params(path)
-        except ModelError as exc:
-            expected = exc
-        with mock.patch.object(model, "_READ_CHUNK", chunk):
-            try:
-                params = load_params(path)
-            except ModelError as exc:
-                params = exc
-        if tightened or isinstance(expected, ModelError):
-            assert isinstance(params, ModelError)
-            if not tightened:
-                assert type(params) is type(expected)
-            return
-        config, flat = expected
-        assert params.config == config
-        assert params.flat.dtype == flat.dtype
-        assert params.flat.tobytes() == flat.tobytes()
-
-    @pytest.mark.parametrize("edit", TIGHTENED)
-    def test_hand_edits_refused(self, tmp_path, edit):
-        # each file loads through the whole-file loader
-        params = init_params(ModelConfig(d_h=4, n_heads=2, d_ff=3), seed=30)
-        path = tmp_path / "w.json"
-        save_params(params, path)
-        text = path.read_text()
-        obj = json.loads(text)
-        payload = obj.pop("flat")
-        if edit == "escape":  # "\u0041" is "A" to a JSON parser
-            i = payload.index("A")
-            text = text.replace(payload, payload[:i] + "\\u0041" + payload[i + 1:])
-        elif edit == "duplicate":  # the last one counts to json.loads
-            text = text.replace('{"config"', '{"flat":"%s","config"' % payload)
-        else:  # in config, after the top-level one
-            obj["config"]["flat"] = payload
-            text = json.dumps({"flat": payload, **obj})
-        path.write_text(text)
-        assert whole_file_load_params(path)[1].tobytes() == params.flat.tobytes()
-        with pytest.raises(ModelError, match="flat"):
-            load_params(path)
-
-    def test_flat_only_in_config_refused(self, tmp_path):
-        params = init_params(ModelConfig(d_h=4, n_heads=2, d_ff=3), seed=30)
-        path = tmp_path / "w.json"
-        save_params(params, path)
-        obj = json.loads(path.read_text())
-        obj["config"]["flat"] = obj.pop("flat")
-        path.write_text(json.dumps(obj))
-        with pytest.raises(ModelError, match="flat"):
-            load_params(path)
+    def test_golden_file_small_float64(self, tmp_path):
+        # no BLAS runs in init_params or in the writer: the same bytes on any host
+        path = tmp_path / "w.bin"
+        save_params(init_params(ModelConfig(d_h=16, n_heads=2, d_ff=12), seed=0), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "974904d24fab440be328a32673462856e818912ecdb8612b47ffb88f9b5a3ea7"
 
     def test_bench_float32_load_peak_allocation(self, tmp_path):
-        # 12.2e6 bytes while the whole file was parsed to strings first;
-        # streamed, the peak is the buffer (4.58e6) and a few 64 KiB chunks.
-        # A buffer sized from the file (6.1e6) or a whole-buffer finiteness
-        # mask (+1.15e6) would break the bound.
+        # the peak is the buffer (4.58e6), the header line and one block of
+        # the finiteness check. A whole-buffer finiteness mask (+1.15e6) or a
+        # copy of the payload would break the bound.
         params = init_params(ModelConfig(), seed=31, dtype=np.float32)
-        path = tmp_path / "w.json"
+        path = tmp_path / "w.bin"
         save_params(params, path)
         tracemalloc.start()
         try:
@@ -888,14 +755,14 @@ class TestStreamedLoad:
         assert owner.nbytes <= params.flat.nbytes
         assert params_to_json_bytes(loaded) == path.read_bytes()
 
-    def test_padded_file_leaves_only_the_buffer(self, tmp_path):
-        # the buffer is sized from the payload, not from the file: a large key
-        # after flat and trailing whitespace stay out of what load_params keeps
+    def test_padded_header_leaves_only_the_buffer(self, tmp_path):
+        # the header line is not kept: after a load that reads a near-64 KiB
+        # header, only the parameter buffer stays allocated
         params = init_params(ModelConfig(d_h=64, n_heads=2, d_ff=32), seed=32)
-        path = tmp_path / "w.json"
+        path = tmp_path / "w.bin"
         save_params(params, path)
-        text = path.read_text().rstrip("}\n")
-        path.write_text(text + ',"junk":"' + "x" * 1_000_000 + '"}' + " " * 1_000_000)
+        header, payload = read_weight_file(path)
+        path.write_bytes(json.dumps(header).encode() + b" " * 60_000 + b"\n" + payload)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -905,6 +772,16 @@ class TestStreamedLoad:
             tracemalloc.stop()
         np.testing.assert_array_equal(loaded.flat, params.flat)
         assert params.flat.nbytes <= held <= params.flat.nbytes + 16_384
+
+
+def read_weight_file(path):
+    """(header dict, payload bytes) of a weight file."""
+    line, payload = path.read_bytes().split(b"\n", 1)
+    return json.loads(line), payload
+
+
+def write_weight_file(path, header: dict, payload: bytes) -> None:
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
 
 
 def params_digest(params: ModelParams) -> str:

@@ -43,15 +43,16 @@ class TestAdamW:
         params = tiny_params(seed=3)
         grads = zero_grads(params)
         grads["head.w1"][0, 0] = np.nan
+        cfg = AdamWConfig(lr=2.5e-4, weight_decay=1e-4)
         with pytest.raises(FloatingPointError):
-            adamw_step(params, grads, AdamWState.init(params), AdamWConfig())
+            adamw_step(params, grads, AdamWState.init(params), cfg)
 
     def test_identical_runs_bit_identical(self):
         results = []
         for _ in range(2):
             params = tiny_params(seed=4)
             state = AdamWState.init(params)
-            cfg = AdamWConfig()
+            cfg = AdamWConfig(lr=2.5e-4, weight_decay=1e-4)
             rng = np.random.default_rng(9)
             for _ in range(20):
                 grads = {n: rng.standard_normal(t.shape)
@@ -64,8 +65,9 @@ class TestAdamW:
     def test_step_counter(self):
         params = tiny_params(seed=5)
         state = AdamWState.init(params)
-        adamw_step(params, zero_grads(params), state, AdamWConfig())
-        adamw_step(params, zero_grads(params), state, AdamWConfig())
+        cfg = AdamWConfig(lr=2.5e-4, weight_decay=1e-4)
+        adamw_step(params, zero_grads(params), state, cfg)
+        adamw_step(params, zero_grads(params), state, cfg)
         assert state.step == 2
 
 
