@@ -9,7 +9,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import evaluate, ingest, pipeline
-from .geom import JSON_DECODER, IntersectionGeometry, demo_geometry
+from .geom import IntersectionGeometry, demo_geometry
+from .jsonio import load_json
 from .model import load_params, save_params
 
 
@@ -30,8 +31,7 @@ def _load_dataset(args) -> evaluate.WindowDataset:
 
 def _train_config(args) -> evaluate.TrainConfig:
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            return evaluate.TrainConfig.from_dict(JSON_DECODER.decode(fh.read()))
+        return evaluate.TrainConfig.from_dict(load_json(args.config, "training config"))
     return evaluate.TrainConfig()
 
 

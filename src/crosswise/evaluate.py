@@ -20,8 +20,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .features import FeatureWindow, mask_for_groups
-from .geom import IntersectionGeometry, check_json_numbers, refuse_unknown_keys
+from .geom import IntersectionGeometry
 from .ingest import SAMPLE_EVERY, FrameRecord, VruTruth
+from .jsonio import check_json_numbers, refuse_unknown_keys
 from .model import (WEIGHT_DTYPES, ModelConfig, ModelParams, backward_batch,
                     bce_from_logits, forward_batch, init_params, sigmoid)
 from .optim import AdamWConfig, AdamWState, PlateauScheduler, adamw_step, clip_gradients

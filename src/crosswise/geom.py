@@ -12,7 +12,9 @@ import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
+
+from .jsonio import check_json_number, json_floats, json_value, load_json, refuse_unknown_keys
 
 Point = tuple[float, float]
 Polygon = Sequence[Point]
@@ -157,55 +159,6 @@ class Zone:
         return x0 <= x <= x1 and y0 <= y <= y1 and _inside(x, y, self._edges)
 
 
-# --- config-file checks, shared by every JSON config the package reads ----------
-
-JSON_NUMBER = frozenset((int, float))  # what json.loads gives for a number; not bool
-
-
-def _refuse_constant(literal: str):
-    raise ValueError(f"{literal} is not a JSON number")
-
-
-# The one decoder of every stream line and config file: json.loads with
-# parse_constant would build one per call. NaN and Infinity are Python
-# extensions to JSON, refused here.
-JSON_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
-
-
-def refuse_unknown_keys(obj: dict, known: Iterable[str], what: str,
-                        error: type[ValueError] = ValueError) -> None:
-    """Raise ``error`` naming the keys of ``obj`` that are not in ``known``."""
-    unknown = sorted(set(obj) - set(known))
-    if unknown:
-        raise error(f"unknown {what} keys {unknown}")
-
-
-def check_json_number(value, key: str, integer: bool = False,
-                      error: type[ValueError] = ValueError):
-    """``value`` if it is a JSON integer (``integer``) or a JSON number, else
-    raise ``error`` naming ``key``: never a bool or a string, which int() and
-    float() would coerce."""
-    if type(value) not in ((int,) if integer else JSON_NUMBER):
-        kind = "integer" if integer else "number"
-        raise error(f"{key} must be a JSON {kind}, got {value!r}")
-    return value
-
-
-def check_json_numbers(values: dict, cls) -> None:
-    """check_json_number on each value in ``values`` for an ``int`` or
-    ``float`` field of the dataclass ``cls``."""
-    for f in fields(cls):
-        if f.name in values and f.type in ("int", "float"):
-            check_json_number(values[f.name], f.name, f.type == "int")
-
-
-def _json_floats(values, key: str, n: int) -> tuple[float, ...]:
-    """A geometry value of n JSON numbers as floats."""
-    if type(values) is not list or len(values) != n:
-        raise GeometryError(f"{key} must hold {n} JSON numbers, got {values!r}")
-    return tuple(float(check_json_number(v, key, error=GeometryError)) for v in values)
-
-
 @dataclass(frozen=True)
 class IntersectionGeometry:
     """Declared zones of interest for one camera view.
@@ -338,43 +291,46 @@ class IntersectionGeometry:
     def from_dict(cls, cfg: dict) -> "IntersectionGeometry":
         """The geometry of a JSON config. Every coordinate, size and scale must
         be a JSON number and ``fps`` a JSON integer; a value of another type,
-        or an unknown key, raises GeometryError naming the key."""
-        refuse_unknown_keys(cfg, [f.name for f in fields(cls) if f.init],
-                            "geometry config", GeometryError)
+        a missing key or an unknown key raises GeometryError naming the key."""
+        what = "geometry config"
+        refuse_unknown_keys(cfg, [f.name for f in fields(cls) if f.init], what, GeometryError)
 
         def zones(key: str) -> tuple[Zone, ...]:
             out = []
-            for item in cfg.get(key, []):
-                refuse_unknown_keys(item, ("id", "label", "polygon"), f"{key} zone config",
-                                    GeometryError)
+            for item in json_value(cfg, key, list, what, GeometryError, default=[]):
+                zone_what = f"{key} zone config"
+                if type(item) is not dict:
+                    raise GeometryError(f"{zone_what} must be a JSON object, got {item!r}")
+                refuse_unknown_keys(item, ("id", "label", "polygon"), zone_what, GeometryError)
+                polygon = json_value(item, "polygon", list, zone_what, GeometryError)
                 out.append(Zone(
-                    zone_id=item["id"],
-                    polygon=tuple(_json_floats(q, f"{key} polygon", 2) for q in item["polygon"]),
+                    zone_id=item.get("id"),
+                    polygon=tuple(json_floats(q, f"{key} polygon", 2, GeometryError)
+                                  for q in polygon),
                     label=item.get("label"),
                 ))
             return tuple(out)
 
-        entries = {k: _json_floats(v, f"crosswalk_entries {k}", 2)
-                   for k, v in cfg["crosswalk_entries"].items()}
+        entries = {k: json_floats(v, f"crosswalk_entries {k}", 2, GeometryError) for k, v
+                   in json_value(cfg, "crosswalk_entries", dict, what, GeometryError).items()}
         px_per_meter, frame_size = cfg.get("px_per_meter"), cfg.get("frame_size")
         return cls(
             waiting_areas=zones("waiting_areas"),
             start_crossing_zones=zones("start_crossing_zones"),
             crossing_zones=zones("crossing_zones"),
             crosswalk_entries=entries,
-            crop_rect=_json_floats(cfg["crop_rect"], "crop_rect", 4),
-            fps=check_json_number(cfg["fps"], "fps", integer=True, error=GeometryError),
+            crop_rect=json_floats(cfg.get("crop_rect"), "crop_rect", 4, GeometryError),
+            fps=check_json_number(cfg.get("fps"), "fps", integer=True, error=GeometryError),
             px_per_meter=(float(check_json_number(px_per_meter, "px_per_meter",
                                                   error=GeometryError))
                           if px_per_meter is not None else None),
-            frame_size=(_json_floats(frame_size, "frame_size", 2)
+            frame_size=(json_floats(frame_size, "frame_size", 2, GeometryError)
                         if frame_size else (0.0, 0.0)),
         )
 
     @classmethod
     def load(cls, path: str | Path) -> "IntersectionGeometry":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(JSON_DECODER.decode(fh.read()))
+        return cls.from_dict(load_json(path, "geometry config", GeometryError))
 
     def to_dict(self) -> dict:
         def zones(items: tuple[Zone, ...]) -> list:

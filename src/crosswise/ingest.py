@@ -19,8 +19,9 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .geom import (COORD_LIMIT, JSON_DECODER, JSON_NUMBER, IntersectionGeometry,
-                   check_json_number, check_json_numbers, refuse_unknown_keys)
+from .geom import COORD_LIMIT, IntersectionGeometry
+from .jsonio import (JSON_DECODER, JSON_NUMBER, check_json_number, check_json_numbers,
+                     json_value, load_json, refuse_unknown_keys)
 
 VRU_CLASSES = ("pedestrian", "cyclist", "scooter", "e_scooter", "e_wheelchair")
 CONDITIONS = ("day", "night", "rain")
@@ -162,13 +163,6 @@ def _record_to_obj(rec: FrameRecord) -> dict:
     }
 
 
-def _json_list(obj: dict, key: str) -> list:
-    value = obj.get(key, [])
-    if type(value) is not list:
-        raise ValueError(f"{key} must be a JSON list, got {value!r}")
-    return value
-
-
 def _stream_bbox(value, what: str) -> tuple[float, float, float, float]:
     """A stream bbox: a JSON list of 4 JSON numbers that _check_bbox accepts."""
     if type(value) is not list:
@@ -217,8 +211,8 @@ def _record_from_obj(obj, line_no: int) -> FrameRecord:
     if type(obj) is not dict:
         raise StreamFormatError(line_no, f"record must be a JSON object, got {obj!r}")
     try:
-        dets = tuple(map(_stream_detection, _json_list(obj, "dets")))
-        poses = _stream_poses(_json_list(obj, "poses"))
+        dets = tuple(map(_stream_detection, json_value(obj, "dets", list, "record", default=[])))
+        poses = _stream_poses(json_value(obj, "poses", list, "record", default=[]))
         return FrameRecord(check_json_number(obj["frame"], "frame", integer=True),
                            check_json_number(obj["ts_ms"], "ts_ms", integer=True), dets, poses)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -235,21 +229,22 @@ def write_stream(records: Iterable[FrameRecord], path: str | Path) -> None:
 def read_stream(path: str | Path) -> Iterator[FrameRecord]:
     """Yield validated FrameRecords from a JSON-lines file, in file order.
 
-    Raises StreamFormatError (with line number) for malformed lines (a NaN
-    or Infinity literal included), values that are not JSON numbers or lie
-    outside the stream bounds (COORD_LIMIT, MIN_BBOX_SIDE), non-monotonic
-    frame indices, or decreasing timestamps.
+    Raises StreamFormatError (with line number) for malformed lines (invalid
+    UTF-8, a NaN or Infinity literal and nesting past the recursion limit
+    included), values that are not JSON numbers or lie outside the stream
+    bounds (COORD_LIMIT, MIN_BBOX_SIDE), non-monotonic frame indices, or
+    decreasing timestamps.
     """
     last_frame = -1
     last_ts = -1
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # each line decoded below, where its number is known
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = JSON_DECODER.decode(line)
-            except ValueError as exc:
+                obj = JSON_DECODER.decode(line.decode("utf-8"))
+            except (ValueError, RecursionError) as exc:
                 raise StreamFormatError(line_no, f"invalid JSON: {exc}") from exc
             rec = _record_from_obj(obj, line_no)
             if rec.frame_idx <= last_frame:
@@ -304,10 +299,8 @@ class ScenarioSpec:
     def from_dict(cls, obj: dict) -> "ScenarioSpec":
         refuse_unknown_keys(obj, cls.__dataclass_fields__, "scenario")
         check_json_numbers(obj, cls)
-        mix = obj.get("class_mix")
-        if mix is not None and (type(mix) is not dict
-                                or not JSON_NUMBER.issuperset(map(type, mix.values()))):
-            raise ValueError(f"class_mix must be a JSON object of numbers, got {mix!r}")
+        for name, share in json_value(obj, "class_mix", dict, "scenario", default={}).items():
+            check_json_number(share, f"class_mix {name}")
         try:
             return cls(**obj)
         except TypeError as exc:  # a required key is missing
@@ -315,8 +308,7 @@ class ScenarioSpec:
 
     @classmethod
     def load(cls, path: str | Path) -> "ScenarioSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(JSON_DECODER.decode(fh.read()))
+        return cls.from_dict(load_json(path, "scenario"))
 
 
 @dataclass
@@ -623,6 +615,11 @@ def _truth_from_obj(v) -> VruTruth:
             bad = next(c for c in xy if type(c) not in JSON_NUMBER)
             raise ValueError(f"sample x and y must be JSON numbers, got {bad!r}")
         xs, ys = map(float, xs), map(float, ys)
+    # one pass in C; a sum can overflow, so a non-finite one is looked at again
+    if not math.isfinite(sum(xy)):
+        bad = next((c for c in xy if not math.isfinite(c)), None)
+        if bad is not None:  # 1e400 decodes to inf
+            raise ValueError(f"sample x and y must be finite, got {bad!r}")
     return VruTruth(
         vru_id=check_json_number(v["vru_id"], "vru_id", integer=True),
         label=v["label"], vru_class=v["class"],
@@ -635,21 +632,18 @@ def _truth_from_obj(v) -> VruTruth:
 def read_labels(path: str | Path) -> list[VruTruth]:
     """The ground truth ``write_labels`` wrote, checked as it is read: the schema
     ``crosswise-labels/1``, no unknown keys, JSON integers for ids and frames
-    (``crossing_entry_frame`` may be null), JSON numbers for the sample x and
-    y, ``label`` A or B and ``class`` one of ``VRU_CLASSES``. Each error is a
-    ValueError; one inside a VRU entry names the entry."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = JSON_DECODER.decode(fh.read())
-    if type(obj) is not dict or obj.get("schema") != LABELS_SCHEMA:
-        raise ValueError(f"labels file must be a JSON object with schema {LABELS_SCHEMA!r}")
+    (``crossing_entry_frame`` may be null), finite JSON numbers for the sample
+    x and y, ``label`` A or B and ``class`` one of ``VRU_CLASSES``. Each error
+    is a ValueError; one inside a VRU entry names the entry."""
+    obj = load_json(path, "labels file")
+    if obj.get("schema") != LABELS_SCHEMA:
+        raise ValueError(f"labels file must have the schema {LABELS_SCHEMA!r}")
     refuse_unknown_keys(obj, ("schema", "vrus"), "labels file")
-    if type(obj.get("vrus")) is not list:
-        raise ValueError("labels file must hold a JSON list 'vrus'")
     truths = []
-    for i, v in enumerate(obj["vrus"]):
+    for i, v in enumerate(json_value(obj, "vrus", list, "labels file")):
         try:
             truths.append(_truth_from_obj(v))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, OverflowError) as exc:  # an integer past float range
             what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             vru_id = v.get("vru_id") if type(v) is dict else None
             raise ValueError(f"labels file, VRU {i} (vru_id {vru_id!r}): {what}") from exc

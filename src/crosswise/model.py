@@ -33,7 +33,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .features import FEATURE_DIM, LAYOUT_HASH, FeatureWindow
-from .geom import JSON_DECODER, refuse_unknown_keys
+from .jsonio import decode_object, refuse_unknown_keys
 
 WEIGHT_FILE_VERSION = 3
 WEIGHT_DTYPES = ("float32", "float64")
@@ -590,18 +590,15 @@ def save_params(params: ModelParams, path: str | Path) -> None:
 def load_params(path: str | Path) -> ModelParams:
     """Read a version-3 weight file; anything malformed raises ModelError.
 
-    The header line is read with the stream's NaN-refusing decoder, and the
+    The header line is decoded as every JSON input is (jsonio), and the
     payload straight into a parameter buffer sized from the header."""
     with open(path, "rb") as fh:
         line = fh.readline(_HEADER_LIMIT)
         if not line.endswith(b"\n"):
             raise ModelError(f"weight file has no header line in its first "
                              f"{_HEADER_LIMIT} bytes")
-        try:
-            header = JSON_DECODER.decode(line.decode("utf-8"))
-        except ValueError as exc:
-            raise ModelError(f"weight file header is not JSON: {exc!r}") from exc
-        version = header.get("version") if isinstance(header, dict) else None
+        header = decode_object(line, "weight file header", ModelError)
+        version = header.get("version")
         if version != WEIGHT_FILE_VERSION:
             raise ModelError(f"unsupported weight file version {version!r}; "
                              f"only version {WEIGHT_FILE_VERSION} is read")
