@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import asdict
@@ -357,6 +358,29 @@ class TestGenerator:
         write_stream(r1, p1)
         write_stream(r2, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    # sha256 of the stream and labels files; perfbench/reference.json pins
+    # only day specs, so these pin the other conditions, a forced label and
+    # all five classes spawned 12 frames apart
+    @pytest.mark.parametrize("spec,stream_sha,labels_sha", [
+        (ScenarioSpec(n_vrus=6, noise_sigma=1.5, dropout=0.1, condition="night", seed=11),
+         "1bbb2677898366ef67836793106fee188d5e67e8241a9ef9f61d542cecdc37ae",
+         "00c3aa473f2c140a8f038dcd1e81753855b417e941e79d1fb6b127ba859d4321"),
+        (ScenarioSpec(n_vrus=5, label="B", noise_sigma=2.0, condition="rain", seed=12),
+         "a13b355a2eeb3727ae89c5c60b74e64672e1faea577d1c5a7fa62983501af450",
+         "611b189fa2a81ee6a787f8a13b27c867b16f4c16c9fc1bd28874d4590c33876a"),
+        (ScenarioSpec(n_vrus=12, class_mix={"pedestrian": 0.4, "cyclist": 0.2, "scooter": 0.1,
+                                            "e_scooter": 0.1, "e_wheelchair": 0.2},
+                      noise_sigma=0.5, dropout=0.03, max_concurrent=20, seed=15),
+         "5919c0b5a8743a9fd5df8b298006c9d0de23a4063ac734db7abd4ca6c9b841be",
+         "07b037c8bcd9bda8f5135c8c7cb6ccc7af1612903ce17148708245d8430a4b67"),
+    ], ids=["night", "rain_label_B", "mixed_classes"])
+    def test_golden_bytes(self, geometry, tmp_path, spec, stream_sha, labels_sha):
+        records, truths = generate_scenario(spec, geometry)
+        write_stream(records, tmp_path / "stream.jsonl")
+        write_labels(truths, tmp_path / "labels.json")
+        assert hashlib.sha256((tmp_path / "stream.jsonl").read_bytes()).hexdigest() == stream_sha
+        assert hashlib.sha256((tmp_path / "labels.json").read_bytes()).hexdigest() == labels_sha
 
     def test_labels_alternate_when_unforced(self, geometry):
         _, truths = generate_scenario(ScenarioSpec(n_vrus=6, seed=3), geometry)
