@@ -218,8 +218,9 @@ class TrainConfig:
                              f"got {self.epochs} and {self.batch_size}")
         if not (self.lr > 0 and self.clip_norm > 0):
             raise ValueError(f"lr and clip_norm must be > 0, got {self.lr} and {self.clip_norm}")
-        if not self.weight_decay >= 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not (self.weight_decay >= 0 and self.seed >= 0):
+            raise ValueError(f"weight_decay and seed must be >= 0, "
+                             f"got {self.weight_decay} and {self.seed}")
         if self.dtype not in WEIGHT_DTYPES:
             raise ValueError(f"dtype must be one of {WEIGHT_DTYPES}, got {self.dtype!r}")
         self.model_config()  # checks the model fields

@@ -24,7 +24,15 @@ from .jsonio import (JSON_DECODER, JSON_NUMBER, check_json_number, check_json_nu
                      json_value, load_json, refuse_unknown_keys)
 
 VRU_CLASSES = ("pedestrian", "cyclist", "scooter", "e_scooter", "e_wheelchair")
-CONDITIONS = ("day", "night", "rain")
+
+# Per condition: keypoint-noise factor, added detection dropout, and the drop
+# in detection confidence. Day's 1.0 and 0.0 leave every value as it is.
+_CONDITION_EFFECT = {
+    "day": (1.0, 0.0, 0.0),
+    "night": (2.0, 0.05, 0.08),
+    "rain": (1.5, 0.05, 0.05),
+}
+CONDITIONS = tuple(_CONDITION_EFFECT)
 
 N_KEYPOINTS = 17
 KP_NOSE, KP_LEFT_SHOULDER, KP_RIGHT_SHOULDER = 0, 5, 6
@@ -178,6 +186,8 @@ def _stream_bbox(value, what: str) -> tuple[float, float, float, float]:
 def _stream_detection(d) -> Detection:
     bbox = _stream_bbox(d["bbox"], "detection")
     conf, vru_class = d["conf"], d["class"]
+    if len(d) != 3:  # beyond the keys just read: a key the format does not know
+        refuse_unknown_keys(d, ("bbox", "class", "conf"), "detection")
     if type(conf) not in JSON_NUMBER or not 0 <= conf <= 1:
         raise ValueError(f"detection conf must be a JSON number in [0,1], got {conf!r}")
     if vru_class not in VRU_CLASSES:
@@ -192,6 +202,9 @@ def _stream_poses(items: list) -> tuple[PoseDetection, ...]:
         return ()
     bboxes = [_stream_bbox(p["bbox"], "pose") for p in items]
     per_pose = [p["kps"] for p in items]
+    if sum(map(len, items)) != 2 * len(items):  # as for a detection
+        for p in items:
+            refuse_unknown_keys(p, ("bbox", "kps"), "pose")
     rows = list(chain.from_iterable(per_pose))
     values = list(chain.from_iterable(rows))
     if not JSON_NUMBER.issuperset(map(type, values)):
@@ -206,13 +219,16 @@ def _stream_poses(items: list) -> tuple[PoseDetection, ...]:
 
 
 def _record_from_obj(obj, line_no: int) -> FrameRecord:
-    """One stream line's record. Its values must be JSON numbers (no bool, no
-    string) within the stream bounds; each rejection carries the line number."""
+    """One stream line's record. It holds no key beyond the format's, and its
+    values must be JSON numbers (no bool, no string) within the stream bounds;
+    each rejection carries the line number."""
     if type(obj) is not dict:
         raise StreamFormatError(line_no, f"record must be a JSON object, got {obj!r}")
     try:
         dets = tuple(map(_stream_detection, json_value(obj, "dets", list, "record", default=[])))
         poses = _stream_poses(json_value(obj, "poses", list, "record", default=[]))
+        if len(obj) != 2 + ("dets" in obj) + ("poses" in obj):  # frame, ts_ms and these
+            refuse_unknown_keys(obj, ("frame", "ts_ms", "dets", "poses"), "record")
         return FrameRecord(check_json_number(obj["frame"], "frame", integer=True),
                            check_json_number(obj["ts_ms"], "ts_ms", integer=True), dets, poses)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -265,7 +281,8 @@ MAX_NOISE_SIGMA = 100.0
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Knobs for one synthetic intersection scenario."""
+    """Knobs for one synthetic intersection scenario, checked when built, so a
+    spec built in code holds the rules of a scenario file."""
 
     n_vrus: int
     class_mix: dict[str, float] = field(default_factory=lambda: {"pedestrian": 1.0})
@@ -277,15 +294,19 @@ class ScenarioSpec:
     max_concurrent: int = 6
 
     def __post_init__(self):
-        if self.n_vrus <= 0:
-            raise ValueError("n_vrus must be positive")
+        check_json_numbers(vars(self), ScenarioSpec)
+        if self.n_vrus <= 0 or self.seed < 0 or self.max_concurrent < 1:
+            raise ValueError(f"n_vrus must be positive, seed >= 0 and max_concurrent >= 1, "
+                             f"got {self.n_vrus}, {self.seed} and {self.max_concurrent}")
+        for cls, share in json_value(vars(self), "class_mix", dict, "scenario").items():
+            if cls not in VRU_CLASSES:
+                raise ValueError(f"unknown VRU class {cls!r}")
+            if not check_json_number(share, f"class_mix {cls}") >= 0:
+                raise ValueError(f"class_mix {cls} must be >= 0, got {share!r}")
         total = sum(self.class_mix.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"class mix must sum to 1, got {total}")
-        for cls in self.class_mix:
-            if cls not in VRU_CLASSES:
-                raise ValueError(f"unknown VRU class {cls!r}")
-        if not 0.0 <= self.noise_sigma <= MAX_NOISE_SIGMA:  # NaN fails too
+        if not 0.0 <= self.noise_sigma <= MAX_NOISE_SIGMA:
             raise ValueError(f"noise_sigma must be in [0, {MAX_NOISE_SIGMA:g}] px, "
                              f"got {self.noise_sigma!r}")
         if not 0.0 <= self.dropout < 1.0:
@@ -298,9 +319,6 @@ class ScenarioSpec:
     @classmethod
     def from_dict(cls, obj: dict) -> "ScenarioSpec":
         refuse_unknown_keys(obj, cls.__dataclass_fields__, "scenario")
-        check_json_numbers(obj, cls)
-        for name, share in json_value(obj, "class_mix", dict, "scenario", default={}).items():
-            check_json_number(share, f"class_mix {name}")
         try:
             return cls(**obj)
         except TypeError as exc:  # a required key is missing
@@ -326,20 +344,13 @@ class VruTruth:
 
 SAMPLE_EVERY = 5
 
-# Per-class bbox size (w, h, px) and walking speed (m/s).
-_CLASS_SIZE = {
-    "pedestrian": (34.0, 88.0),
-    "cyclist": (46.0, 96.0),
-    "scooter": (40.0, 90.0),
-    "e_scooter": (40.0, 90.0),
-    "e_wheelchair": (54.0, 74.0),
-}
-_CLASS_SPEED_MS = {
-    "pedestrian": 1.35,
-    "cyclist": 2.6,
-    "scooter": 2.0,
-    "e_scooter": 2.4,
-    "e_wheelchair": 1.5,
+# Per class: bbox size (w, h, px) and walking speed (m/s).
+_CLASS_SIZE_SPEED = {
+    "pedestrian": (34.0, 88.0, 1.35),
+    "cyclist": (46.0, 96.0, 2.6),
+    "scooter": (40.0, 90.0, 2.0),
+    "e_scooter": (40.0, 90.0, 2.4),
+    "e_wheelchair": (54.0, 74.0, 1.5),
 }
 
 # Skeletal template coefficients, COCO order. Offset from the bbox center is
@@ -374,17 +385,6 @@ _POST_CROSS_FRAMES = 30               # frames walked after entering the crossin
 _EDGE_MARGIN = 10.0                   # keep idle motion off shared zone edges
 
 
-def _condition_noise(spec: ScenarioSpec) -> tuple[float, float]:
-    sigma, dropout = spec.noise_sigma, spec.dropout
-    if spec.condition == "night":
-        sigma *= 2.0
-        dropout += 0.05
-    elif spec.condition == "rain":
-        sigma *= 1.5
-        dropout += 0.05
-    return sigma, min(dropout, 0.95)
-
-
 @dataclass
 class _SimTrack:
     vru_id: int
@@ -406,11 +406,11 @@ def _simulate_vru(rng: np.random.Generator, vru_id: int, label: str, vru_class: 
     ccx, ccy = cross_zone.centroid
     axis = math.atan2(ccy - entry[1], ccx - entry[0])
 
-    w0, h0 = _CLASS_SIZE[vru_class]
+    w0, h0, speed_ms = _CLASS_SIZE_SPEED[vru_class]
     scale = rng.uniform(0.9, 1.1)
     bbox_wh = (w0 * scale, h0 * scale)
     ppm = g.px_per_meter if g.px_per_meter else 50.0
-    speed = _CLASS_SPEED_MS[vru_class] * rng.uniform(0.9, 1.15) * ppm / g.fps
+    speed = speed_ms * rng.uniform(0.9, 1.15) * ppm / g.fps
 
     dwell = int(rng.integers(*_DWELL_RANGE))
     offset0 = rng.uniform(-_ORIENT_JITTER, _ORIENT_JITTER)
@@ -504,19 +504,19 @@ def generate_scenario(spec: ScenarioSpec,
                       g: IntersectionGeometry) -> tuple[list[FrameRecord], list[VruTruth]]:
     """Build a deterministic synthetic record stream plus per-VRU ground truth."""
     rng = np.random.default_rng(spec.seed)
-    sigma, dropout = _condition_noise(spec)
+    factor, added_dropout, conf_drop = _CONDITION_EFFECT[spec.condition]
+    sigma, dropout = spec.noise_sigma * factor, min(spec.dropout + added_dropout, 0.95)
 
     classes = list(spec.class_mix.keys())
     probs = np.array([spec.class_mix[c] for c in classes])
 
     sims: list[_SimTrack] = []
     avg_len = (sum(_DWELL_RANGE) // 2) + 110
-    gap = max(12, avg_len // max(1, spec.max_concurrent))
+    gap = max(12, avg_len // spec.max_concurrent)  # > 5, so spawn frames increase with i
     for i in range(spec.n_vrus):
         vru_class = classes[int(rng.choice(len(classes), p=probs))]
-        label = spec.label if spec.label else ("A" if i % 2 == 0 else "B")
         spawn = i * gap + int(rng.integers(0, 6))
-        sims.append(_simulate_vru(rng, i, label, vru_class, spawn, g, sigma))
+        sims.append(_simulate_vru(rng, i, spec.label or "AB"[i % 2], vru_class, spawn, g, sigma))
 
     truths = [VruTruth(
         vru_id=s.vru_id, label=s.label, vru_class=s.vru_class,
@@ -524,32 +524,26 @@ def generate_scenario(spec: ScenarioSpec,
         exit_frame=s.spawn_frame + len(s.centers) - 1,
         crossing_entry_frame=s.crossing_entry,
         samples=[(s.spawn_frame + k, float(s.centers[k, 0]), float(s.centers[k, 1]))
-                 for k in range(len(s.centers))
-                 if (s.spawn_frame + k) % SAMPLE_EVERY == 0],
+                 for k in range(-s.spawn_frame % SAMPLE_EVERY, len(s.centers), SAMPLE_EVERY)],
     ) for s in sims]
 
     cx0, cy0, cw, ch = g.crop_rect
-    night = spec.condition == "night"
-    rain = spec.condition == "rain"
-    last_frame = max(t.exit_frame for t in truths)
-
+    spawning = {sim.spawn_frame: sim for sim in sims}
+    live: list[_SimTrack] = []  # in index order: each spawn has the highest index yet
     records: list[FrameRecord] = []
-    for frame in range(last_frame + 1):
+    for frame in range(max(t.exit_frame for t in truths) + 1):
+        live = [sim for sim in live if frame - sim.spawn_frame < len(sim.centers)]
+        if frame in spawning:
+            live.append(spawning[frame])
         dets: list[Detection] = []
         poses: list[PoseDetection] = []
-        for sim in sims:
-            k = frame - sim.spawn_frame
-            if k < 0 or k >= len(sim.centers):
-                continue
+        for sim in live:
             if dropout > 0 and rng.random() < dropout:
                 continue
+            k = frame - sim.spawn_frame
             x, y = sim.centers[k]
             w, h = sim.bbox_wh
-            conf = rng.uniform(0.75, 0.95)
-            if night:
-                conf -= 0.08
-            elif rain:
-                conf -= 0.05
+            conf = rng.uniform(0.75, 0.95) - conf_drop
             dets.append(Detection((x - w / 2.0, y - h / 2.0, w, h),
                                   sim.vru_class, round(max(0.3, conf), 4)))
             in_crop = (cx0 <= x <= cx0 + cw) and (cy0 <= y <= cy0 + ch)

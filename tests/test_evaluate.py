@@ -240,7 +240,7 @@ class TestTrainConfig:
         ({"lr_floor": 1e-6}, "lr_floor"), ({"dtype": "float16"}, "dtype"),
         ({"d_h": 255}, "d_h"), ({"n_heads": False}, "n_heads"),
         ({"dropout": "0.5"}, "dropout"), ({"pooling": "max"}, "pooling"),
-        ({"weight_decay": float("nan")}, "weight_decay")])
+        ({"weight_decay": float("nan")}, "weight_decay"), ({"seed": -1}, "seed")])
     def test_bad_values_refused_at_load(self, obj, match):
         # each would otherwise fail only inside train(), after the split and init
         with pytest.raises(ValueError, match=match):

@@ -214,7 +214,8 @@ class TestPoseBboxSize:
 
 class TestRecordShape:
     """A line that is not a JSON object, a dets/poses value that is not a
-    list, and a bbox without exactly 4 values are rejected by line."""
+    list, an entry that is not an object, a key the format does not know and
+    a bbox without exactly 4 values are rejected by line."""
 
     @pytest.mark.parametrize("line", ["[1, 2]", "3", '"frame"', "null"])
     def test_non_object_line(self, tmp_path, line):
@@ -243,6 +244,31 @@ class TestRecordShape:
         with pytest.raises(StreamFormatError, match="line 2") as exc:
             list(read_stream(path))
         assert "4 values" in str(exc.value)
+
+    @pytest.mark.parametrize("edit,name", [
+        (lambda o: o.__setitem__("note", 1), "note"),
+        (lambda o: o.__setitem__("pose", o.pop("poses")), "pose"),   # misspelt
+        (lambda o: o.__setitem__("det", o.pop("dets")), "det"),
+        (lambda o: o["dets"][0].__setitem__("score", 0.9), "score"),
+        (lambda o: o["poses"][0].__setitem__("kps_conf", []), "kps_conf")])
+    def test_unknown_key(self, tmp_path, edit, name):
+        # a misspelt "pose" once gave a frame with no poses and no error
+        path = TestNonFinite.stream_with_bad_second_line(tmp_path, edit)
+        with pytest.raises(StreamFormatError, match=f"line 2: unknown .*'{name}'"):
+            list(read_stream(path))
+
+    @pytest.mark.parametrize("bad", [[1, 2, 3], "bbox", 5, None])
+    @pytest.mark.parametrize("key", ["dets", "poses"])
+    def test_non_object_entry(self, tmp_path, key, bad):
+        path = TestNonFinite.stream_with_bad_second_line(tmp_path, lambda o: o[key].append(bad))
+        with pytest.raises(StreamFormatError, match="line 2"):
+            list(read_stream(path))
+
+    def test_dets_and_poses_optional(self, tmp_path):
+        path = tmp_path / "bare.jsonl"
+        path.write_text('{"frame": 0, "ts_ms": 0}\n')
+        [rec] = read_stream(path)
+        assert rec.detections == () and rec.crop_poses == ()
 
     @pytest.mark.parametrize("bbox", [(1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0, 5.0)])
     def test_bbox_length_not_constructible(self, bbox):
@@ -331,6 +357,19 @@ class TestScenarioSpecFile:
         # NaN fails every comparison, so a one-sided check let it through
         with pytest.raises(ValueError, match="noise_sigma"):
             ScenarioSpec(n_vrus=2, noise_sigma=float("nan"))
+
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"class_mix": {"pedestrian": 2.0, "cyclist": -1.0}}, "class_mix cyclist"),
+        ({"class_mix": {"pedestrian": math.nan}}, "class_mix pedestrian"),
+        ({"class_mix": [("pedestrian", 1.0)]}, "class_mix"),
+        ({"seed": -1}, "seed"), ({"max_concurrent": 0}, "max_concurrent"),
+        ({"max_concurrent": -4}, "max_concurrent"), ({"n_vrus": True}, "n_vrus"),
+        ({"noise_sigma": "2"}, "noise_sigma")])
+    def test_built_in_code_holds_the_file_rules(self, kwargs, name):
+        # each was built (from a file too, where it could be written) and failed
+        # only inside numpy, generated, or raised a bare TypeError
+        with pytest.raises(ValueError, match=name):
+            ScenarioSpec(**{"n_vrus": 3, **kwargs})
 
     def test_noise_at_the_bound_generates(self, geometry):
         # night doubles the jitter
