@@ -5,8 +5,8 @@ from .ingest import (Detection, FrameRecord, PoseDetection, ScenarioSpec, VruTru
                      generate_scenario, read_labels, read_stream, write_labels,
                      write_stream)
 from .features import FEATURE_DIM, LAYOUT_HASH, FeatureWindow
-from .model import (ModelConfig, ModelParams, Prediction, forward, forward_batch,
-                    init_params, load_params, save_params)
+from .model import (ModelConfig, ModelParams, Prediction, forward_batch, init_params,
+                    load_params, save_params)
 from .evaluate import (ConfusionCounts, TrainConfig, WindowDataset, ablation,
                        build_dataset, head_sweep, metrics, train)
 from .pipeline import I2VAlert, Pipeline, TrackState, bench, run

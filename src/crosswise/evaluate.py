@@ -84,6 +84,9 @@ def metrics(c: ConfusionCounts) -> Metrics:
 
 # --- window dataset -------------------------------------------------------------
 
+TRAIN_FRACTION = 0.70  # of the track ids; the test split takes what the two leave
+VAL_FRACTION = 0.15
+
 
 @dataclass
 class WindowDataset:
@@ -108,15 +111,15 @@ class WindowDataset:
         x = self.x * keep.astype(self.x.dtype)
         return WindowDataset(x, self.y.copy(), self.track_ids.copy())
 
-    def split_by_track(self, seed: int, fractions=(0.70, 0.15, 0.15)
+    def split_by_track(self, seed: int
                        ) -> tuple["WindowDataset", "WindowDataset", "WindowDataset"]:
         """70/15/15 split on track ids; a track's windows never straddle splits."""
         ids = np.unique(self.track_ids)
         rng = np.random.default_rng(seed)
         rng.shuffle(ids)
         n = len(ids)
-        n_tr = int(round(fractions[0] * n))
-        n_val = int(round(fractions[1] * n))
+        n_tr = int(round(TRAIN_FRACTION * n))
+        n_val = int(round(VAL_FRACTION * n))
         parts = []
         for grp in (ids[:n_tr], ids[n_tr:n_tr + n_val], ids[n_tr + n_val:]):
             idx = np.flatnonzero(np.isin(self.track_ids, grp))
@@ -255,20 +258,21 @@ class TrainResult:
         }
 
 
+EVAL_GROUP = 256  # windows per group of the evaluation loss sum
 EVAL_CHUNK = 64  # windows per evaluation forward
 
 
-def _group_logits(params: ModelParams, ds: WindowDataset,
-                  batch: int) -> Iterator[tuple[slice, np.ndarray]]:
-    """The logits of each group of ``batch`` windows, with its slice of ``ds``.
+def _group_logits(params: ModelParams, ds: WindowDataset
+                  ) -> Iterator[tuple[slice, np.ndarray]]:
+    """The logits of each group of ``EVAL_GROUP`` windows, with its slice of ``ds``.
 
     A group runs as forwards of ``EVAL_CHUNK`` windows, whose logits equal
     those of one forward over the group, at a quarter of the B=256 peak. A
     last chunk of one window joins the chunk before it: a forward at B=1
     takes BLAS's GEMV path, whose bits differ.
     """
-    for i in range(0, len(ds), batch):
-        group = slice(i, min(i + batch, len(ds)))
+    for i in range(0, len(ds), EVAL_GROUP):
+        group = slice(i, min(i + EVAL_GROUP, len(ds)))
         x = ds.x[group]
         cuts = list(range(0, len(x), EVAL_CHUNK))[1:]
         if cuts and len(x) - cuts[-1] == 1:
@@ -277,16 +281,15 @@ def _group_logits(params: ModelParams, ds: WindowDataset,
                                      for part in np.split(x, cuts)])
 
 
-def _eval_loss(params: ModelParams, ds: WindowDataset, batch: int = 256) -> float:
-    """Mean BCE over ``ds``, summed group by group of ``batch`` windows."""
+def _eval_loss(params: ModelParams, ds: WindowDataset) -> float:
+    """Mean BCE over ``ds``, summed group by group of ``EVAL_GROUP`` windows."""
     losses = [bce_from_logits(logit, ds.y[group]) * logit.shape[0]
-              for group, logit in _group_logits(params, ds, batch)]
+              for group, logit in _group_logits(params, ds)]
     return float(sum(losses) / len(ds))
 
 
-def evaluate_params(params: ModelParams, ds: WindowDataset,
-                    batch: int = 256) -> ConfusionCounts:
-    preds = [sigmoid(logit) >= 0.5 for _, logit in _group_logits(params, ds, batch)]
+def evaluate_params(params: ModelParams, ds: WindowDataset) -> ConfusionCounts:
+    preds = [sigmoid(logit) >= 0.5 for _, logit in _group_logits(params, ds)]
     return ConfusionCounts.from_predictions(ds.y.astype(bool), np.concatenate(preds))
 
 

@@ -70,8 +70,8 @@ class FeatureWindow:
 History = Sequence[tuple[int, tuple[float, float], tuple[float, float, float, float]]]
 
 
-def motion_features(history: History, fps: int, px_per_meter: Optional[float] = None,
-                    frame_diagonal: Optional[float] = None) -> tuple[float, float, float]:
+def motion_features(history: History, fps: int, px_per_meter: Optional[float],
+                    frame_diagonal: float) -> tuple[float, float, float]:
     """(speed, heading sin, heading cos) from the latest 10-frame displacement.
 
     Speed is m/s when px_per_meter is given, else px/s divided by the frame
@@ -90,13 +90,7 @@ def motion_features(history: History, fps: int, px_per_meter: Optional[float] = 
         return (0.0, 0.0, 0.0)
     dx, dy = p_t[0] - p_0[0], p_t[1] - p_0[1]
     dist = math.hypot(dx, dy)
-    speed_px_s = dist * fps / dframes
-    if px_per_meter:
-        speed = speed_px_s / px_per_meter
-    elif frame_diagonal:
-        speed = speed_px_s / frame_diagonal
-    else:
-        speed = speed_px_s
+    speed = dist * fps / dframes / (px_per_meter or frame_diagonal)
     if dist < 1.0:
         return (speed, 0.0, 0.0)
     theta = math.atan2(dy, dx)

@@ -354,7 +354,7 @@ class IntersectionGeometry:
             fh.write("\n")
 
 
-def demo_geometry(fps: int = 20, px_per_meter: Optional[float] = 50.0) -> IntersectionGeometry:
+def demo_geometry() -> IntersectionGeometry:
     """A canonical one-corner intersection used by the simulator and tests.
 
     One waiting area in the frame's lower middle serving crosswalk A (west)
@@ -375,7 +375,7 @@ def demo_geometry(fps: int = 20, px_per_meter: Optional[float] = 50.0) -> Inters
         ),
         crosswalk_entries={"A": (440.0, 490.0), "B": (600.0, 340.0)},
         crop_rect=(480.0, 380.0, 240.0, 200.0),
-        fps=fps,
-        px_per_meter=px_per_meter,
+        fps=20,
+        px_per_meter=50.0,
         frame_size=(1280.0, 720.0),
     )

@@ -32,7 +32,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .features import FEATURE_DIM, LAYOUT_HASH, FeatureWindow
+from .features import FEATURE_DIM, LAYOUT_HASH
 from .jsonio import decode_object, refuse_unknown_keys
 
 WEIGHT_FILE_VERSION = 3
@@ -380,12 +380,6 @@ def forward_batch(x: np.ndarray, params: ModelParams, mode: str = "infer",
     cache = {} if cache is None else cache
     cache.update(logit=logit, p=p, mode=mode)
     return p, cache
-
-
-def forward(window: FeatureWindow, params: ModelParams, mode: str = "infer",
-            rng: Optional[np.random.Generator] = None) -> tuple[Prediction, dict]:
-    p, cache = forward_batch(window.matrix[None], params, mode, rng)
-    return Prediction(window.track_id, float(p[0]), window.end_frame_idx), cache
 
 
 def bce_from_logits(logits: np.ndarray, y: np.ndarray) -> float:

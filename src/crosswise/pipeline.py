@@ -31,6 +31,7 @@ from .track import TrackTable
 log = logging.getLogger(__name__)
 
 ALERT_SCHEMA = "crosswise/1"
+ALERT_MSG_TYPE = "VRU_CROSSING_ALERT"
 ALERT_MARGIN = 0.2  # |p_B - 0.5| needed before a prediction alone raises an alert
 BENCH_BATCH_SIZES = (1, 2, 4, 8, 64)  # 64: the training batch
 
@@ -54,12 +55,11 @@ class I2VAlert:
     ts_ms: int
     frame_idx: int
     vru_class: str
-    msg_type: str = "VRU_CROSSING_ALERT"
 
     def to_wire(self) -> dict:
         return {
             "schema": ALERT_SCHEMA,
-            "msg_type": self.msg_type,
+            "msg_type": ALERT_MSG_TYPE,
             "track_id": self.track_id,
             "crosswalk": self.crosswalk,
             "prob": self.prob,
@@ -112,7 +112,6 @@ class Pipeline:
         self.table = TrackTable(geometry)
         self.ctx: dict[int, _TrackCtx] = {}
         self.last_frame = -1
-        self.tracks_created = 0
 
     # -- state machine helpers -------------------------------------------
 
@@ -146,7 +145,6 @@ class Pipeline:
         out = StepOutput(rec.frame_idx)
 
         events = self.table.associate(rec.detections, rec.frame_idx)
-        self.tracks_created += len(events.created)
         for tid in events.created:
             self.ctx[tid] = _TrackCtx()
 
@@ -315,7 +313,7 @@ def run(records: Iterable[FrameRecord], geometry: IntersectionGeometry,
     wall = time.perf_counter() - t0
     return {
         "frames": n_frames,
-        "tracks_created": pipe.tracks_created,
+        "tracks_created": pipe.table.tracks_created,
         "predictions": n_preds,
         "alerts": n_alerts,
         "mean_step_ms": step_ms_sum / n_frames if n_frames else 0.0,

@@ -103,7 +103,7 @@ class TrackTable:
     def __init__(self, geometry: IntersectionGeometry):
         self.geometry = geometry
         self.tracks: dict[int, Track] = {}
-        self._next_id = 1
+        self.tracks_created = 0  # also the id of the newest track: ids run 1, 2, ...
         self._retire_after = int(RETIRE_AFTER_SECONDS * geometry.fps)
 
     def associate(self, detections: Sequence[Detection], frame_idx: int) -> StepEvents:
@@ -153,8 +153,8 @@ class TrackTable:
 
         for di in sorted(free_dets):
             det = detections[di]
-            track = Track(self._next_id, det.vru_class, OUTSIDE)  # observe sets the zone
-            self._next_id += 1
+            self.tracks_created += 1
+            track = Track(self.tracks_created, det.vru_class, OUTSIDE)  # observe sets the zone
             track.observe(frame_idx, det, self.geometry)
             self.tracks[track.track_id] = track
             events.created.append(track.track_id)

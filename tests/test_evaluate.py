@@ -324,7 +324,7 @@ class TestEvaluationForwards:
         for pooling in ("mean", "last"):
             for n_heads in (1, 2, 4):
                 params = bench_params(dtype, pooling, n_heads)
-                (group, logit), = _group_logits(params, ds, 256)
+                (group, logit), = _group_logits(params, ds)
                 assert group == slice(0, n)
                 whole = forward_batch(ds.x, params)[1]["logit"]
                 assert logit.tobytes() == whole.tobytes(), (pooling, n_heads)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,41 +30,44 @@ def pose_with(nose, ls, rs, conf=0.9, nose_conf=None):
     return PoseDetection((0.0, 0.0, 40.0, 80.0), kps)
 
 
+RAW_PX_S = {"px_per_meter": None, "frame_diagonal": 1.0}  # speed left in px/s
+
+
 class TestMotionFeatures:
     def test_displacement_arithmetic(self):
         h = hist([(0, (0.0, 0.0)), (10, (3.0, 4.0))])
-        speed, s, c = motion_features(h, fps=20)
+        speed, s, c = motion_features(h, fps=20, **RAW_PX_S)
         assert speed == pytest.approx(10.0)  # 5 px over 10 frames at 20 fps
         theta = math.atan2(4, 3)
         assert (s, c) == pytest.approx((math.sin(theta), math.cos(theta)))
 
     def test_stationary(self):
         h = hist([(0, (5.0, 5.0)), (10, (5.0, 5.0))])
-        assert motion_features(h, fps=20) == (0.0, 0.0, 0.0)
+        assert motion_features(h, fps=20, **RAW_PX_S) == (0.0, 0.0, 0.0)
 
     def test_metric_conversion(self):
         h = hist([(0, (0.0, 0.0)), (10, (3.0, 4.0))])
-        speed, _, _ = motion_features(h, fps=20, px_per_meter=50.0)
+        speed, _, _ = motion_features(h, fps=20, px_per_meter=50.0, frame_diagonal=100.0)
         assert speed == pytest.approx(0.2)
 
     def test_diagonal_normalization(self):
         h = hist([(0, (0.0, 0.0)), (10, (3.0, 4.0))])
-        speed, _, _ = motion_features(h, fps=20, frame_diagonal=100.0)
+        speed, _, _ = motion_features(h, fps=20, px_per_meter=None, frame_diagonal=100.0)
         assert speed == pytest.approx(0.1)
 
     def test_single_point(self):
-        assert motion_features(hist([(0, (1.0, 1.0))]), fps=20) == (0.0, 0.0, 0.0)
+        assert motion_features(hist([(0, (1.0, 1.0))]), fps=20, **RAW_PX_S) == (0.0, 0.0, 0.0)
 
     def test_uses_only_recent_span(self):
         # points older than 10 frames back are ignored
         h = hist([(0, (1000.0, 0.0)), (5, (0.0, 0.0)), (12, (7.0, 0.0))])
-        speed, s, c = motion_features(h, fps=20)
+        speed, s, c = motion_features(h, fps=20, **RAW_PX_S)
         assert speed == pytest.approx(7.0 * 20 / 7)
         assert (s, c) == pytest.approx((0.0, 1.0))
 
     def test_sub_pixel_displacement_no_heading(self):
         h = hist([(0, (0.0, 0.0)), (10, (0.5, 0.0))])
-        speed, s, c = motion_features(h, fps=20)
+        speed, s, c = motion_features(h, fps=20, **RAW_PX_S)
         assert speed > 0
         assert (s, c) == (0.0, 0.0)
 
@@ -349,7 +353,7 @@ def _geometries():
         start_crossing_zones=g.start_crossing_zones, crossing_zones=g.crossing_zones,
         crosswalk_entries=g.crosswalk_entries, crop_rect=g.crop_rect, fps=g.fps,
         px_per_meter=g.px_per_meter, frame_size=g.frame_size)
-    return (g, demo_geometry(px_per_meter=None), two)
+    return (g, replace(g, px_per_meter=None), two)
 
 
 GEOMETRIES = _geometries()

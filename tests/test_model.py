@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from crosswise.features import FEATURE_DIM, FeatureWindow
+from crosswise.features import FEATURE_DIM
 from crosswise.model import (LayoutMismatchError, ModelConfig, ModelError, Prediction,
                              _gru_layer_forward, _mha_forward,
-                             backward_batch, bce_from_logits, forward, forward_batch,
+                             backward_batch, bce_from_logits, forward_batch,
                              init_params, load_params, save_params, sigmoid, softmax_last)
 from crosswise.model import (WEIGHT_DTYPES, WEIGHT_FILE_VERSION, ModelParams,
                              params_to_json_bytes)
@@ -314,14 +314,6 @@ class TestForward:
         write_weight_file(path, header, payload)
         with pytest.raises(LayoutMismatchError, match="0000000000000000"):
             load_params(path)
-
-    def test_window_wrapper_returns_prediction(self):
-        params = self.small_params(seed=9)
-        win = FeatureWindow(np.zeros((5, FEATURE_DIM)), track_id=3, end_frame_idx=50)
-        pred, _ = forward(win, params)
-        assert isinstance(pred, Prediction)
-        assert pred.track_id == 3 and pred.end_frame_idx == 50
-        assert pred.label in ("A", "B")
 
     def test_train_mode_needs_rng(self):
         params = self.small_params(dropout=0.5)

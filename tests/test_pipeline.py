@@ -15,7 +15,7 @@ from crosswise.geom import (MAX_FPS, MIN_FRAME_SIDE, MIN_PX_PER_METER, ZoneType,
 from crosswise.ingest import (COORD_LIMIT, MIN_BBOX_SIDE, Detection, FrameRecord,
                               PoseDetection, ScenarioSpec, _record_from_obj,
                               generate_scenario)
-from crosswise.model import forward, forward_batch
+from crosswise.model import forward_batch
 from crosswise.pipeline import (ALERT_SCHEMA, I2VAlert, Pipeline, TrackState,
                                 UdpAlertSink, bench, run)
 
@@ -215,7 +215,7 @@ class TestCrossingMonitoring:
         # state leaves with it
         assert len(done) == len(set(done))
         assert alerted <= set(done)
-        assert set(done) == created and len(created) == pipe.tracks_created
+        assert set(done) == created and len(created) == pipe.table.tracks_created
         assert pipe.ctx == {}
 
     def test_soak_state_follows_the_live_tracks(self, geometry):
@@ -232,8 +232,8 @@ class TestCrossingMonitoring:
             out = pipe.step(rec)
             assert pipe.ctx.keys() == pipe.table.tracks.keys()
             done.extend(tid for tid, _, new in out.state_changes if new is TrackState.DONE)
-        assert pipe.tracks_created > 900
-        assert sorted(done) == list(range(1, pipe.tracks_created + 1))
+        assert pipe.table.tracks_created > 900
+        assert sorted(done) == list(range(1, pipe.table.tracks_created + 1))
         assert pipe.ctx == {}
 
     def test_geometry_required(self):
@@ -355,7 +355,7 @@ class TestOneForwardPerFrame:
         multi = 0
         for out in run_steps(geometry, params, crowd_stream):
             for window, pred in zip(out.windows, out.predictions):
-                alone = forward(window, params)[0].p_b
+                alone = float(forward_batch(window.matrix[None], params)[0][0])
                 if len(out.windows) == 1:
                     assert pred.p_b == alone
                 else:
@@ -516,7 +516,7 @@ def hostile_stream(geometry, seed, n_tracks, n_frames=61):
 GEOMETRY = demo_geometry()
 # the edge of the camera scale IntersectionGeometry enforces (README, stream
 # format): 1 px frame sides, px_per_meter 1e-3, fps 1000
-EDGE_GEOMETRY = replace(demo_geometry(fps=MAX_FPS, px_per_meter=MIN_PX_PER_METER),
+EDGE_GEOMETRY = replace(demo_geometry(), fps=MAX_FPS, px_per_meter=MIN_PX_PER_METER,
                         frame_size=(MIN_FRAME_SIDE, MIN_FRAME_SIDE))
 
 

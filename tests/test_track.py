@@ -199,9 +199,9 @@ def brute_force_associate(table, detections, frame_idx):
             free_dets.discard(di)
     for di in sorted(free_dets):
         det = detections[di]
-        track = Track(table._next_id, det.vru_class,
+        table.tracks_created += 1
+        track = Track(table.tracks_created, det.vru_class,
                       table.geometry.classify_point(det.center))
-        table._next_id += 1
         track.observe(frame_idx, det, table.geometry)
         table.tracks[track.track_id] = track
         events.created.append(track.track_id)
