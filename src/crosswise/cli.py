@@ -29,6 +29,23 @@ def _load_dataset(args) -> evaluate.WindowDataset:
     return evaluate.build_dataset(records, truths, geometry)
 
 
+def _udp_address(text: str) -> tuple[str, int]:
+    """A ``--alert-udp`` value: ``host:port`` as (host, port). The range is
+    checked here, since getaddrinfo would wrap a port past 65535."""
+    host, _, port = text.rpartition(":")
+    if host and port.isascii() and port.isdigit() and 1 <= int(port) <= 65535:
+        return host, int(port)
+    raise argparse.ArgumentTypeError(f"expected host:port with a port in 1-65535, "
+                                     f"got {text!r}")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _train_config(args) -> evaluate.TrainConfig:
     if args.config:
         return evaluate.TrainConfig.from_dict(load_json(args.config, "training config"))
@@ -82,13 +99,11 @@ def cmd_sweep_heads(args) -> int:
 
 
 def cmd_run(args) -> int:
-    geometry = IntersectionGeometry.load(args.geometry)
-    params = load_params(args.weights)
-    sink = None
-    if args.alert_udp:
-        host, port = args.alert_udp.rsplit(":", 1)
-        sink = pipeline.UdpAlertSink(host, int(port))
+    # the alert address is resolved before any input is read
+    sink = pipeline.UdpAlertSink(*args.alert_udp) if args.alert_udp else None
     try:
+        geometry = IntersectionGeometry.load(args.geometry)
+        params = load_params(args.weights)
         summary = pipeline.run(ingest.read_stream(args.infile), geometry, params,
                                predictions_path=args.out, alert_sink=sink,
                                dump_features_path=args.dump_features)
@@ -108,7 +123,7 @@ def cmd_bench(args) -> int:
         n_vrus=max(2, args.frames // 47), label=None, noise_sigma=1.0,
         dropout=0.02, seed=7, max_concurrent=5)
     records, _ = ingest.generate_scenario(spec, geometry)
-    records = records[:args.frames] if len(records) > args.frames else records
+    records = records[:args.frames]
     report = pipeline.bench(records, geometry, params)
     _write_json(report, args.report)
     return 0
@@ -158,14 +173,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--alert-udp", dest="alert_udp")
+    p.add_argument("--alert-udp", dest="alert_udp", type=_udp_address)
     p.add_argument("--dump-features", dest="dump_features")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("bench", help="throughput and latency benchmark")
     p.add_argument("--geometry", required=True)
     p.add_argument("--weights", required=True)
-    p.add_argument("--frames", type=int, default=3000)
+    p.add_argument("--frames", type=_positive_int, default=3000)
     p.add_argument("--report")
     p.set_defaults(func=cmd_bench)
     return parser

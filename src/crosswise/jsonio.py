@@ -74,12 +74,12 @@ def check_json_number(value, key: str, integer: bool = False,
     return value
 
 
-def check_json_numbers(values: dict, cls) -> None:
+def check_json_numbers(values: dict, cls, error: type[ValueError] = ValueError) -> None:
     """check_json_number on each value in ``values`` for an ``int`` or
     ``float`` field of the dataclass ``cls``."""
     for f in fields(cls):
         if f.name in values and f.type in ("int", "float"):
-            check_json_number(values[f.name], f.name, f.type == "int")
+            check_json_number(values[f.name], f.name, f.type == "int", error)
 
 
 def json_floats(values, key: str, n: int, error: type[ValueError] = ValueError) -> tuple:

@@ -33,7 +33,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .features import FEATURE_DIM, LAYOUT_HASH
-from .jsonio import decode_object, refuse_unknown_keys
+from .jsonio import check_json_numbers, decode_object, refuse_unknown_keys
 
 WEIGHT_FILE_VERSION = 3
 WEIGHT_DTYPES = ("float32", "float64")
@@ -58,10 +58,11 @@ class ModelConfig:
 
     def __post_init__(self):
         dims = (self.d_in, self.d_h, self.n_heads, self.d_ff)
-        # bool is an int subclass; a weight file's "n_heads": true is no count
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0
-                   for v in dims):
+        # jsonio's integer rule: a weight file's "n_heads": true is no count,
+        # and a numpy integer could not be written back to a weight file
+        if not all(type(v) is int and v > 0 for v in dims):
             raise ModelError(f"d_in, d_h, n_heads, d_ff must be positive integers: {dims}")
+        check_json_numbers(vars(self), ModelConfig, ModelError)
         if self.d_h % self.n_heads != 0:
             raise ModelError(f"d_h={self.d_h} not divisible by n_heads={self.n_heads}")
         if self.pooling not in ("mean", "last"):

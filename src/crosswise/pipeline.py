@@ -242,7 +242,9 @@ class UdpAlertSink:
     """Fire-and-forget JSON datagrams; 3 retries, then log and move on."""
 
     def __init__(self, host: str, port: int):
-        self.addr = (host, port)
+        # resolved once: sendto would look a name up again on every datagram,
+        # blocking the frame loop each time
+        self.addr = socket.getaddrinfo(host, port, socket.AF_INET, socket.SOCK_DGRAM)[0][4]
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self.sent = 0
         self.dropped = 0

@@ -13,6 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Iterable, Optional, Sequence
 
+from .features import SEGMENT_FRAMES
 from .geom import OUTSIDE, GeometryError, IntersectionGeometry, ZoneKind
 from .ingest import Detection, PoseDetection
 
@@ -20,7 +21,9 @@ IOU_MATCH_THRESHOLD = 0.3
 DIST_GATE_FACTOR = 0.5       # of max(track bbox w, h)
 POSE_GATE_FACTOR = 0.75      # of max(track bbox w, h)
 RETIRE_AFTER_SECONDS = 2.0
-HISTORY_CAPACITY = 64        # ring buffer, >= the 50-frame feature window
+# one entry per observed frame: frames f - SEGMENT_FRAMES .. f are all that
+# motion_features reads back, and predicted_center reads the last two
+HISTORY_CAPACITY = SEGMENT_FRAMES + 1
 
 
 def iou(a: tuple[float, float, float, float], b: tuple[float, float, float, float]) -> float:

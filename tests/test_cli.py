@@ -104,3 +104,23 @@ def test_bench_report(workspace):
     report = json.loads(report_path.read_text())
     assert report["frames"] <= 250
     assert "end_to_end_fps" in report
+
+
+@pytest.mark.parametrize("value", ["localhost", "127.0.0.1:notaport", "127.0.0.1:99999",
+                                   "127.0.0.1:0", ":5000"])
+def test_bad_alert_address_refused_before_any_work(value, capsys):
+    # before the run reads its files: none of these paths exists
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--geometry", "absent.json", "--weights", "absent.bin",
+              "--in", "absent.jsonl", "--out", "preds.jsonl", "--alert-udp", value])
+    assert exc.value.code == 2
+    assert "--alert-udp: expected host:port with a port in 1-65535" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("frames", ["-5", "0"])
+def test_bench_frames_must_be_positive(frames, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--geometry", "absent.json", "--weights", "absent.bin",
+              "--frames", frames])
+    assert exc.value.code == 2
+    assert "--frames: must be at least 1" in capsys.readouterr().err

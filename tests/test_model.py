@@ -697,6 +697,14 @@ class TestSerialization:
         with pytest.raises(ModelError, match="unknown weight file .*'flat'"):
             load_params(path)
 
+    def test_bool_dropout_in_header_refused(self, tmp_path):
+        # false compares as 0.0, inside [0, 1): only the number rule refuses it
+        _, path, header, payload = self.saved_file(tmp_path)
+        header["config"]["dropout"] = False
+        write_weight_file(path, header, payload)
+        with pytest.raises(ModelError, match="dropout must be a finite JSON number"):
+            load_params(path)
+
     def test_nan_in_header_refused(self, tmp_path):
         _, path, header, payload = self.saved_file(tmp_path)
         header["config"]["dropout"] = float("nan")
@@ -801,6 +809,11 @@ class TestParameterBuffer:
     def test_bool_dimension_refused(self, field, value):
         with pytest.raises(ModelError, match="positive integers"):
             ModelConfig(**{field: value})
+
+    def test_numpy_integer_dimension_refused(self):
+        # such a config would build and train, then fail to be saved
+        with pytest.raises(ModelError, match="positive integers"):
+            ModelConfig(d_h=np.int64(8), n_heads=2, d_ff=4)
 
     def test_wrong_buffer_size_refused(self):
         cfg = ModelConfig(d_in=4, d_h=4, n_heads=2, d_ff=4)

@@ -440,6 +440,35 @@ class TestUdpAlerts:
         sink.close()
         receiver.close()
 
+    def test_address_resolved_once(self, monkeypatch):
+        receiver = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        receiver.bind(("127.0.0.1", 0))
+        receiver.settimeout(5.0)
+        port = receiver.getsockname()[1]
+        lookups = []
+
+        def getaddrinfo(host, port, *args):  # a name server that answers loopback
+            lookups.append(host)
+            return [(socket.AF_INET, socket.SOCK_DGRAM, 17, "", ("127.0.0.1", port))]
+
+        monkeypatch.setattr(socket, "getaddrinfo", getaddrinfo)
+        sink = UdpAlertSink("receiver.invalid", port)
+        assert lookups == ["receiver.invalid"]
+        for tid in range(3):
+            sink(I2VAlert(tid, "A", 0.9, 0, 0, "pedestrian"))
+        assert lookups == ["receiver.invalid"] and sink.sent == 3
+        assert [json.loads(receiver.recv(65536))["track_id"] for _ in range(3)] == [0, 1, 2]
+        sink.close()
+        receiver.close()
+
+    def test_unresolvable_address_refused_at_start(self, monkeypatch):
+        def getaddrinfo(host, *args):
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+        monkeypatch.setattr(socket, "getaddrinfo", getaddrinfo)
+        with pytest.raises(OSError, match="not known"):
+            UdpAlertSink("nowhere.invalid", 5000)
+
     def test_sink_survives_unroutable_destination(self):
         sink = UdpAlertSink("127.0.0.1", 9)  # discard port, nothing listens
         alert = I2VAlert(1, "A", 0.9, 0, 0, "pedestrian")

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crosswise.geom import ZoneType, demo_geometry
+from crosswise.features import motion_features
+from crosswise.geom import OUTSIDE, ZoneType, demo_geometry
 from crosswise.ingest import Detection, PoseDetection
 from crosswise.track import (DIST_GATE_FACTOR, IOU_MATCH_THRESHOLD, POSE_GATE_FACTOR,
                              StepEvents, Track, TrackTable, iou)
@@ -256,6 +257,35 @@ def box_frames(draw):
         prev = boxes or prev
         frame_idx += draw(st.sampled_from((1, 1, 2, 45)))  # 45 retires tracks
     return frames
+
+
+@st.composite
+def gapped_moves(draw):
+    """(frame, x, y) of one moving target: runs of consecutive frames, each
+    followed by a gap of up to a little over a segment."""
+    moves, frame_idx = [], 0
+    for _ in range(draw(st.integers(1, 4))):
+        for f in range(frame_idx, frame_idx + draw(st.integers(1, 15))):
+            moves.append((f, 500.0 + 2.0 * f + draw(st.floats(-3.0, 3.0)),
+                          450.0 + draw(st.floats(-3.0, 3.0))))
+        frame_idx = moves[-1][0] + draw(st.integers(2, 13))
+    return moves
+
+
+class TestHistory:
+    @given(gapped_moves())
+    def test_holds_every_entry_motion_features_reads(self, geometry, moves):
+        def motion(history):
+            return motion_features(history, geometry.fps, geometry.px_per_meter,
+                                   geometry.frame_diagonal)
+
+        track = Track(1, "pedestrian", OUTSIDE)
+        full = []
+        for frame_idx, x, y in moves:
+            d = det(x, y)
+            track.observe(frame_idx, d, geometry)
+            full.append((frame_idx, d.center, d.bbox))
+            assert motion(track.history) == motion(full)
 
 
 class TestAssociateMatchesBruteForce:
