@@ -25,7 +25,7 @@ from .ingest import SAMPLE_EVERY, FrameRecord, VruTruth
 from .jsonio import check_json_numbers, refuse_unknown_keys
 from .model import (WEIGHT_DTYPES, ModelConfig, ModelParams, backward_batch,
                     bce_from_logits, forward_batch, init_params, sigmoid)
-from .optim import AdamWConfig, AdamWState, PlateauScheduler, adamw_step, clip_gradients
+from .optim import AdamWState, PlateauScheduler, adamw_step, clip_gradients
 from .pipeline import Pipeline
 
 POSITIVE_LABEL = "B"
@@ -211,7 +211,6 @@ class TrainConfig:
     d_ff: int = ModelConfig.d_ff
     n_heads: int = ModelConfig.n_heads
     dropout: float = ModelConfig.dropout
-    pooling: str = ModelConfig.pooling
     dtype: str = "float32"  # training profile; gradient checks run in float64
 
     def __post_init__(self):
@@ -235,7 +234,7 @@ class TrainConfig:
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(d_h=self.d_h, n_heads=self.n_heads, d_ff=self.d_ff,
-                           dropout=self.dropout, pooling=self.pooling)
+                           dropout=self.dropout)
 
 
 @dataclass
@@ -258,38 +257,26 @@ class TrainResult:
         }
 
 
-EVAL_GROUP = 256  # windows per group of the evaluation loss sum
 EVAL_CHUNK = 64  # windows per evaluation forward
 
 
-def _group_logits(params: ModelParams, ds: WindowDataset
+def _chunk_logits(params: ModelParams, ds: WindowDataset
                   ) -> Iterator[tuple[slice, np.ndarray]]:
-    """The logits of each group of ``EVAL_GROUP`` windows, with its slice of ``ds``.
-
-    A group runs as forwards of ``EVAL_CHUNK`` windows, whose logits equal
-    those of one forward over the group, at a quarter of the B=256 peak. A
-    last chunk of one window joins the chunk before it: a forward at B=1
-    takes BLAS's GEMV path, whose bits differ.
-    """
-    for i in range(0, len(ds), EVAL_GROUP):
-        group = slice(i, min(i + EVAL_GROUP, len(ds)))
-        x = ds.x[group]
-        cuts = list(range(0, len(x), EVAL_CHUNK))[1:]
-        if cuts and len(x) - cuts[-1] == 1:
-            cuts.pop()
-        yield group, np.concatenate([forward_batch(part, params)[1]["logit"]
-                                     for part in np.split(x, cuts)])
+    """The logits of each forward of ``EVAL_CHUNK`` windows, with its slice of ``ds``."""
+    for i in range(0, len(ds), EVAL_CHUNK):
+        chunk = slice(i, min(i + EVAL_CHUNK, len(ds)))
+        yield chunk, forward_batch(ds.x[chunk], params)[1]["logit"]
 
 
 def _eval_loss(params: ModelParams, ds: WindowDataset) -> float:
-    """Mean BCE over ``ds``, summed group by group of ``EVAL_GROUP`` windows."""
-    losses = [bce_from_logits(logit, ds.y[group]) * logit.shape[0]
-              for group, logit in _group_logits(params, ds)]
+    """Mean BCE over ``ds``, summed forward by forward."""
+    losses = [bce_from_logits(logit, ds.y[chunk]) * logit.shape[0]
+              for chunk, logit in _chunk_logits(params, ds)]
     return float(sum(losses) / len(ds))
 
 
 def evaluate_params(params: ModelParams, ds: WindowDataset) -> ConfusionCounts:
-    preds = [sigmoid(logit) >= 0.5 for _, logit in _group_logits(params, ds)]
+    preds = [sigmoid(logit) >= 0.5 for _, logit in _chunk_logits(params, ds)]
     return ConfusionCounts.from_predictions(ds.y.astype(bool), np.concatenate(preds))
 
 
@@ -311,16 +298,16 @@ def _raise_mmap_threshold() -> None:
 
 
 def _train_step(params: ModelParams, xb: np.ndarray, yb: np.ndarray,
-                drop_rng: np.random.Generator, clip_norm: float,
-                state: AdamWState, opt_cfg: AdamWConfig) -> float:
+                drop_rng: np.random.Generator, state: AdamWState, lr: float,
+                cfg: TrainConfig) -> float:
     """One forward, backward, clip and AdamW update; returns the batch's summed
     loss. The step's cache and gradients are freed on return, before the next
     step's forward builds its own."""
     _, cache = forward_batch(xb, params, mode="train", rng=drop_rng)
     loss = bce_from_logits(cache["logit"], yb) * len(yb)
     grads = backward_batch(cache, yb, params)
-    clip_gradients(grads, clip_norm)
-    adamw_step(params, grads, state, opt_cfg)
+    clip_gradients(grads, cfg.clip_norm)
+    adamw_step(params, grads, state, lr, cfg.weight_decay)
     return loss
 
 
@@ -336,7 +323,6 @@ def train(dataset: WindowDataset, cfg: TrainConfig) -> TrainResult:
     train_ds, val_ds, test_ds = dataset.split_by_track(cfg.seed)
     train_x = train_ds.x.astype(dtype)
     params = init_params(cfg.model_config(), seed=cfg.seed, dtype=dtype)
-    opt_cfg = AdamWConfig(lr=cfg.lr, weight_decay=cfg.weight_decay)
     state = AdamWState.init(params)
     sched = PlateauScheduler(lr=cfg.lr)
     shuffle_rng = np.random.default_rng(cfg.seed + 1)
@@ -353,13 +339,12 @@ def train(dataset: WindowDataset, cfg: TrainConfig) -> TrainResult:
         for i in range(0, n, cfg.batch_size):
             idx = perm[i:i + cfg.batch_size]
             epoch_loss += _train_step(params, train_x[idx], train_ds.y[idx], drop_rng,
-                                      cfg.clip_norm, state, opt_cfg)
+                                      state, sched.lr, cfg)
         train_losses.append(epoch_loss / n)
 
         val_loss = _eval_loss(params, val_ds)
         val_losses.append(val_loss)
-        opt_cfg.lr = sched.update(val_loss)
-        lrs.append(opt_cfg.lr)
+        lrs.append(sched.update(val_loss))
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch

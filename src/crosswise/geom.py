@@ -221,16 +221,16 @@ class IntersectionGeometry:
                                 f"got {self.frame_size}")
         object.__setattr__(self, "frame_diagonal",
                            math.hypot(self.frame_size[0], self.frame_size[1]))
-        # Per-zone constants for the per-frame queries, from each zone's own.
-        # They are not fields, so equality, to_dict and the config file do not
-        # see them. The tiers are the resolution order when zones overlap: a
-        # VRU on a crosswalk is crossing no matter what else contains the point.
+        # For the per-frame queries: the zones in classification order, each
+        # with its ZoneKind, and the waiting areas' compactness. They are not
+        # fields, so equality, to_dict and the config file do not see them.
+        # The tiers are the resolution order when zones overlap: a VRU on a
+        # crosswalk is crossing no matter what else contains the point.
         tiers = ((self.crossing_zones, ZoneType.CROSSING),
                  (self.start_crossing_zones, ZoneType.START_CROSSING),
                  (self.waiting_areas, ZoneType.WAITING))
         object.__setattr__(self, "_classify_order", tuple(
-            (z._reject_box, z._edges, ZoneKind(kind, z.zone_id, z.label))
-            for zones, kind in tiers for z in zones))
+            (z, ZoneKind(kind, z.zone_id, z.label)) for zones, kind in tiers for z in zones))
         object.__setattr__(self, "_compactness", tuple(
             z.area / self.frame_area for z in self.waiting_areas))
 
@@ -255,10 +255,8 @@ class IntersectionGeometry:
         priority Crossing > StartCrossing > Waiting > Outside; within one
         priority tier the first zone in declaration order wins.
         """
-        x, y = p
-        # Zone.contains, inlined: this runs for every track on every frame
-        for (x0, y0, x1, y1), edges, zone_kind in self._classify_order:
-            if x0 <= x <= x1 and y0 <= y <= y1 and _inside(x, y, edges):
+        for zone, zone_kind in self._classify_order:
+            if zone.contains(p):
                 return zone_kind
         return OUTSIDE
 

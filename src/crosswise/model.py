@@ -35,7 +35,7 @@ import numpy as np
 from .features import FEATURE_DIM, LAYOUT_HASH
 from .jsonio import check_json_numbers, decode_object, refuse_unknown_keys
 
-WEIGHT_FILE_VERSION = 3
+WEIGHT_FILE_VERSION = 4
 WEIGHT_DTYPES = ("float32", "float64")
 
 
@@ -49,24 +49,20 @@ class LayoutMismatchError(ModelError):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    d_in: int = FEATURE_DIM
     d_h: int = 256
     n_heads: int = 2
     d_ff: int = 512
     dropout: float = 0.5
-    pooling: str = "mean"  # or "last"
 
     def __post_init__(self):
-        dims = (self.d_in, self.d_h, self.n_heads, self.d_ff)
+        dims = (self.d_h, self.n_heads, self.d_ff)
         # jsonio's integer rule: a weight file's "n_heads": true is no count,
         # and a numpy integer could not be written back to a weight file
         if not all(type(v) is int and v > 0 for v in dims):
-            raise ModelError(f"d_in, d_h, n_heads, d_ff must be positive integers: {dims}")
+            raise ModelError(f"d_h, n_heads, d_ff must be positive integers: {dims}")
         check_json_numbers(vars(self), ModelConfig, ModelError)
         if self.d_h % self.n_heads != 0:
             raise ModelError(f"d_h={self.d_h} not divisible by n_heads={self.n_heads}")
-        if self.pooling not in ("mean", "last"):
-            raise ModelError(f"unknown pooling {self.pooling!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ModelError("dropout must be in [0, 1)")
 
@@ -76,9 +72,9 @@ def _layout(config: ModelConfig) -> tuple[tuple, int]:
     """The one list of parameter tensors: ((name, shape, start, stop), ...) in
     flat-buffer order, and the buffer size. A name is ``owner.attr``: the
     tensor is ``params.<owner>.<attr>``, with ``gru0``/``gru1`` as ``gru[i]``."""
-    d, dm, dff = config.d_in, config.d_h, config.d_ff
+    dm, dff = config.d_h, config.d_ff
     shapes = []
-    for i, d_in in enumerate((d, dm)):
+    for i, d_in in enumerate((FEATURE_DIM, dm)):
         shapes += [(f"gru{i}.w_{g}", (d_in, dm)) for g in "zrh"]
         shapes += [(f"gru{i}.u_{g}", (dm, dm)) for g in "zrh"]
         shapes += [(f"gru{i}.b_{g}", (dm,)) for g in "zrh"]
@@ -335,7 +331,7 @@ def _encoder_forward(h_seq, attn, rate: float, rng: Optional[np.random.Generator
 
 def forward_batch(x: np.ndarray, params: ModelParams, mode: str = "infer",
                   rng: Optional[np.random.Generator] = None) -> tuple[np.ndarray, dict]:
-    """Probabilities of crosswalk B for a batch of windows (B, T, d_in).
+    """Probabilities of crosswalk B for a batch of windows (B, T, FEATURE_DIM).
 
     Returns (p of shape (B,), cache). Both modes run one body. Train mode
     needs a Generator for the dropout masks and caches what
@@ -344,8 +340,8 @@ def forward_batch(x: np.ndarray, params: ModelParams, mode: str = "infer",
     """
     dtype = params.flat.dtype
     x = np.asarray(x).astype(dtype, copy=False)
-    if x.ndim != 3 or x.shape[2] != params.config.d_in:
-        raise ModelError(f"expected (B, T, {params.config.d_in}) input, got {x.shape}")
+    if x.ndim != 3 or x.shape[2] != FEATURE_DIM:
+        raise ModelError(f"expected (B, T, {FEATURE_DIM}) input, got {x.shape}")
     train = mode == "train"
     if train and rng is None:
         raise ModelError("train-mode forward needs a dropout Generator")
@@ -365,8 +361,7 @@ def forward_batch(x: np.ndarray, params: ModelParams, mode: str = "infer",
     del h1, h1d
     enc = _encoder_forward(h2, params.attn, rate, rng, cache)
 
-    # a copy of the last step, so that no view keeps the encoder output alive
-    pooled = enc.mean(axis=1) if params.config.pooling == "mean" else enc[:, -1, :].copy()
+    pooled = enc.mean(axis=1)
     del enc
     a1 = pooled @ params.head.w1
     a1 += params.head.b1
@@ -513,10 +508,7 @@ def backward_batch(cache: dict, y: np.ndarray, params: ModelParams
     d_pooled = d_u1 @ head.w1.T
 
     d_enc = np.zeros(cache["h"].shape, p.dtype)  # the encoder keeps its input's shape
-    if params.config.pooling == "mean":
-        d_enc += d_pooled[:, None, :] / d_enc.shape[1]
-    else:
-        d_enc[:, -1, :] = d_pooled
+    d_enc += d_pooled[:, None, :] / d_enc.shape[1]
 
     attn = params.attn
     # r2 = n1 + f_out: d_r2 is the first term of d_n1, summed into in place
@@ -569,7 +561,7 @@ _BLOCK = 1 << 16  # elements per block of the finiteness check
 
 
 def params_to_json_bytes(params: ModelParams) -> bytes:
-    """The version-3 weight file: one line of JSON with sorted keys, then the
+    """The version-4 weight file: one line of JSON with sorted keys, then the
     flat buffer's little-endian bytes."""
     flat = params.flat
     header = {"version": WEIGHT_FILE_VERSION, "layout_hash": LAYOUT_HASH,
@@ -583,7 +575,7 @@ def save_params(params: ModelParams, path: str | Path) -> None:
 
 
 def load_params(path: str | Path) -> ModelParams:
-    """Read a version-3 weight file; anything malformed raises ModelError.
+    """Read a version-4 weight file; anything malformed raises ModelError.
 
     The header line is decoded as every JSON input is (jsonio), and the
     payload straight into a parameter buffer sized from the header."""

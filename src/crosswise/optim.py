@@ -19,12 +19,6 @@ LR_FLOOR = 1e-6  # the plateau halving never takes the LR below this
 
 
 @dataclass
-class AdamWConfig:
-    lr: float
-    weight_decay: float
-
-
-@dataclass
 class AdamWState:
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -55,7 +49,7 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
 
 
 def adamw_step(params: ModelParams, grads: dict[str, np.ndarray],
-               state: AdamWState, cfg: AdamWConfig) -> None:
+               state: AdamWState, lr: float, weight_decay: float) -> None:
     """One update: decoupled decay first, then bias-corrected Adam moments.
 
     Mutates params/state in place. Non-finite gradients are a hard error
@@ -69,15 +63,15 @@ def adamw_step(params: ModelParams, grads: dict[str, np.ndarray],
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient for {name}")
-        if cfg.weight_decay:
-            theta *= 1.0 - cfg.lr * cfg.weight_decay
+        if weight_decay:
+            theta *= 1.0 - lr * weight_decay
         m = state.m[name]
         v = state.v[name]
         m *= BETA1
         m += (1.0 - BETA1) * g
         v *= BETA2
         v += (1.0 - BETA2) * (g * g)
-        theta -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 class PlateauScheduler:

@@ -10,6 +10,7 @@ creation to its retirement, so it scales with the live tracks.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import socket
@@ -275,15 +276,16 @@ def run(records: Iterable[FrameRecord], geometry: IntersectionGeometry,
     Returns the exit summary (track/alert counts and per-frame latency).
     """
     pipe = Pipeline(geometry, params)
-    preds_fh = open(predictions_path, "w", encoding="utf-8") if predictions_path else None
-    feats_fh = open(dump_features_path, "w", encoding="utf-8") if dump_features_path else None
     n_frames = 0
     n_preds = 0
     n_alerts = 0
     step_ms_sum = 0.0  # running values: the summary must not grow with the stream
     step_ms_max = 0.0
-    t0 = time.perf_counter()
-    try:
+    with contextlib.ExitStack() as files:
+        preds_fh, feats_fh = (files.enter_context(open(path, "w", encoding="utf-8"))
+                              if path else None
+                              for path in (predictions_path, dump_features_path))
+        t0 = time.perf_counter()
         for rec in records:
             s0 = time.perf_counter()
             out = pipe.step(rec)
@@ -307,11 +309,6 @@ def run(records: Iterable[FrameRecord], geometry: IntersectionGeometry,
                     feats_fh.write(json.dumps(
                         {"track": win.track_id, "end_frame": win.end_frame_idx,
                          "rows": win.matrix.tolist()}, separators=(",", ":")) + "\n")
-    finally:
-        if preds_fh:
-            preds_fh.close()
-        if feats_fh:
-            feats_fh.close()
     wall = time.perf_counter() - t0
     return {
         "frames": n_frames,

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crosswise.evaluate import (MATCH_MAX_DIST, MATCH_MIN_SAMPLES, ConfusionCounts,
-                                TrainConfig, WindowDataset, _eval_loss, _group_logits,
-                                ablation, build_dataset, evaluate_params, head_sweep,
-                                match_tracks_to_truth, metrics, train)
+from crosswise.evaluate import (EVAL_CHUNK, MATCH_MAX_DIST, MATCH_MIN_SAMPLES,
+                                ConfusionCounts, TrainConfig, WindowDataset, _chunk_logits,
+                                _eval_loss, ablation, build_dataset, evaluate_params,
+                                head_sweep, match_tracks_to_truth, metrics, train)
 from crosswise.features import FEATURE_DIM, FEATURE_GROUPS, mask_for_groups
 from crosswise.ingest import SAMPLE_EVERY, VruTruth
 from crosswise.model import ModelConfig, bce_from_logits, forward_batch, init_params
@@ -226,7 +226,7 @@ class TestBuildDataset:
 
 class TestTrainConfig:
     def test_round_trip(self):
-        cfg = TrainConfig(epochs=3, n_heads=4, pooling="last", dtype="float64")
+        cfg = TrainConfig(epochs=3, n_heads=4, dtype="float64")
         assert TrainConfig.from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
 
     def test_unknown_keys_refused(self):
@@ -239,7 +239,7 @@ class TestTrainConfig:
         ({"clip_norm": -1.0}, "clip_norm"), ({"weight_decay": -1e-4}, "weight_decay"),
         ({"lr_floor": 1e-6}, "lr_floor"), ({"dtype": "float16"}, "dtype"),
         ({"d_h": 255}, "d_h"), ({"n_heads": False}, "n_heads"),
-        ({"dropout": "0.5"}, "dropout"), ({"pooling": "max"}, "pooling"),
+        ({"dropout": "0.5"}, "dropout"), ({"pooling": "mean"}, "pooling"),
         ({"weight_decay": float("nan")}, "weight_decay"), ({"seed": -1}, "seed")])
     def test_bad_values_refused_at_load(self, obj, match):
         # each would otherwise fail only inside train(), after the split and init
@@ -297,10 +297,10 @@ class TestTrain:
 
 
 @functools.lru_cache(maxsize=None)
-def bench_params(dtype: str, pooling: str, n_heads: int):
+def bench_params(dtype: str, n_heads: int):
     """Bench-size weights with non-zero biases, so every bias add moves bytes."""
-    params = init_params(ModelConfig(n_heads=n_heads, pooling=pooling, dropout=0.0),
-                         seed=n_heads, dtype=np.dtype(dtype))
+    params = init_params(ModelConfig(n_heads=n_heads, dropout=0.0), seed=n_heads,
+                         dtype=np.dtype(dtype))
     rng = np.random.default_rng(n_heads)
     for _, t in params.named_tensors():
         if t.ndim == 1:
@@ -318,32 +318,42 @@ class TestEvaluationForwards:
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 256])
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_chunks_give_the_logits_of_one_forward(self, n, dtype):
-        # a one-window chunk would take BLAS's GEMV path (65 and 129 would
-        # split one off), whose bits differ from the GEMM's
+        # a chunk of two or more windows gives the bits of one forward over
+        # all n; a last chunk of one window (65 and 129 leave one) is a forward
+        # at B=1, which takes BLAS's GEMV path, whose bits may differ
         ds = bench_windows(n)
-        for pooling in ("mean", "last"):
-            for n_heads in (1, 2, 4):
-                params = bench_params(dtype, pooling, n_heads)
-                (group, logit), = _group_logits(params, ds)
-                assert group == slice(0, n)
-                whole = forward_batch(ds.x, params)[1]["logit"]
-                assert logit.tobytes() == whole.tobytes(), (pooling, n_heads)
+        for n_heads in (1, 2, 4):
+            params = bench_params(dtype, n_heads)
+            chunks = list(_chunk_logits(params, ds))
+            assert [chunk for chunk, _ in chunks] == [
+                slice(i, min(i + EVAL_CHUNK, n)) for i in range(0, n, EVAL_CHUNK)]
+            whole = forward_batch(ds.x, params)[1]["logit"]
+            for chunk, logit in chunks:
+                one = (whole[chunk] if logit.size > 1
+                       else forward_batch(ds.x[chunk], params)[1]["logit"])
+                assert logit.tobytes() == one.tobytes(), (n_heads, chunk)
 
     def test_groups_of_256_keep_the_loss_and_counts(self):
+        # the loss is summed per forward of 64 windows; the groups of 256 it
+        # was once summed in give it to rounding, and the same counts
         ds = bench_windows(300)
-        params = bench_params("float32", "mean", 2)
-        # the parent's loops: one forward per group of 256
+        params = bench_params("float32", 2)
+
+        def summed_loss(size):
+            return sum(bce_from_logits(forward_batch(ds.x[i:i + size], params)[1]["logit"],
+                                       ds.y[i:i + size]) * len(ds.y[i:i + size])
+                       for i in range(0, len(ds), size)) / len(ds)
+
+        assert _eval_loss(params, ds) == summed_loss(EVAL_CHUNK)
+        assert _eval_loss(params, ds) == pytest.approx(summed_loss(256), rel=1e-14, abs=0)
         groups = [forward_batch(ds.x[i:i + 256], params) for i in (0, 256)]
-        loss = sum(bce_from_logits(cache["logit"], ds.y[i:i + 256]) * len(p)
-                   for i, (p, cache) in zip((0, 256), groups)) / len(ds)
-        assert _eval_loss(params, ds) == loss
         p = np.concatenate([p for p, _ in groups])
         assert evaluate_params(params, ds) == ConfusionCounts.from_predictions(
             ds.y.astype(bool), p >= 0.5)
 
     def test_eval_loss_peak_allocation(self):
         # 9.78e6 bytes as one forward of 256 windows
-        params = bench_params("float32", "mean", 2)
+        params = bench_params("float32", 2)
         ds = bench_windows(256)
         tracemalloc.start()
         try:

@@ -170,9 +170,9 @@ class TestGruCell:
                 assert err <= 1e-12, (seed, name, err)
 
     def test_shape_mismatch(self):
-        params = init_params(ModelConfig(d_in=4, d_h=6, n_heads=2, d_ff=4), seed=0)
+        params = init_params(ModelConfig(d_h=6, n_heads=2, d_ff=4), seed=0)
         with pytest.raises(ModelError, match="input"):
-            forward_batch(np.zeros((1, 5, 5)), params)
+            forward_batch(np.zeros((1, 5, FEATURE_DIM - 1)), params)
 
 
 def gru_stack(body, x, params):
@@ -181,18 +181,18 @@ def gru_stack(body, x, params):
 
 class TestGruForward:
     def test_zero_params_zero_states(self):
-        cfg = ModelConfig(d_in=4, d_h=8, n_heads=2, d_ff=8, dropout=0.0)
+        cfg = ModelConfig(d_h=8, n_heads=2, d_ff=8, dropout=0.0)
         params = init_params(cfg, seed=0)
         for _, t in params.named_tensors():
             t[...] = 0.0
         for name, body in GRU_BODIES.items():
-            np.testing.assert_array_equal(gru_stack(body, np.ones((1, 5, 4)), params),
+            np.testing.assert_array_equal(gru_stack(body, np.ones((1, 5, FEATURE_DIM)), params),
                                           np.zeros((1, 5, 8)), err_msg=name)
 
     def test_t1_equals_cell_composition(self):
-        cfg = ModelConfig(d_in=4, d_h=8, n_heads=2, d_ff=8, dropout=0.0)
+        cfg = ModelConfig(d_h=8, n_heads=2, d_ff=8, dropout=0.0)
         params = init_params(cfg, seed=1)
-        x = np.random.default_rng(2).standard_normal((1, 1, 4))
+        x = np.random.default_rng(2).standard_normal((1, 1, FEATURE_DIM))
         h1 = gru_cell_reference(x[0, 0], np.zeros(8), params.gru[0])
         h2 = gru_cell_reference(h1, np.zeros(8), params.gru[1])
         for name, body in GRU_BODIES.items():
@@ -200,9 +200,9 @@ class TestGruForward:
                                        rtol=0, atol=1e-12, err_msg=name)
 
     def test_order_sensitivity(self):
-        cfg = ModelConfig(d_in=4, d_h=8, n_heads=2, d_ff=8, dropout=0.0)
+        cfg = ModelConfig(d_h=8, n_heads=2, d_ff=8, dropout=0.0)
         params = init_params(cfg, seed=3)
-        x = np.random.default_rng(4).standard_normal((1, 5, 4))
+        x = np.random.default_rng(4).standard_normal((1, 5, FEATURE_DIM))
         for name, body in GRU_BODIES.items():
             h_fwd = gru_stack(body, x, params)
             h_rev = gru_stack(body, x[:, ::-1], params)
@@ -258,7 +258,7 @@ class TestAttention:
 
     def test_encoder_deterministic_in_infer_mode(self):
         # infer mode draws no dropout mask, whatever the configured rate
-        cfg = ModelConfig(d_in=FEATURE_DIM, d_h=8, n_heads=2, d_ff=8, dropout=0.5)
+        cfg = ModelConfig(d_h=8, n_heads=2, d_ff=8, dropout=0.5)
         params = init_params(cfg, seed=16)
         x = np.random.default_rng(16).standard_normal((3, 5, FEATURE_DIM))
         a, _ = forward_batch(x, params)
@@ -268,8 +268,7 @@ class TestAttention:
 
 class TestForward:
     def small_params(self, dropout=0.0, seed=0):
-        cfg = ModelConfig(d_in=FEATURE_DIM, d_h=16, n_heads=2, d_ff=12,
-                          dropout=dropout)
+        cfg = ModelConfig(d_h=16, n_heads=2, d_ff=12, dropout=dropout)
         return init_params(cfg, seed=seed)
 
     def test_zero_params_give_half(self):
@@ -365,10 +364,10 @@ class TestSigmoid:
 
 
 @functools.lru_cache(maxsize=None)
-def bench_size_params(dtype: str, pooling: str, n_heads: int) -> ModelParams:
+def bench_size_params(dtype: str, n_heads: int) -> ModelParams:
     """Bench-size weights with non-zero biases and non-unit layer-norm gains,
     so every bias add and gain product changes bytes."""
-    cfg = ModelConfig(n_heads=n_heads, pooling=pooling, dropout=0.0)
+    cfg = ModelConfig(n_heads=n_heads, dropout=0.0)
     params = init_params(cfg, seed=n_heads, dtype=np.dtype(dtype))
     rng = np.random.default_rng(n_heads)
     for _, t in params.named_tensors():
@@ -390,10 +389,10 @@ class TestInferBody:
 
     @settings(max_examples=60)
     @given(st.integers(1, 300), st.sampled_from(["float32", "float64"]),
-           st.sampled_from(["mean", "last"]), st.sampled_from([1, 2, 4]),
-           st.sampled_from([1e-3, 1.0, 30.0, 1e4, 1e6]), st.integers(0, 2 ** 32 - 1))
-    def test_matches_train_body(self, b, dtype, pooling, n_heads, scale, seed):
-        params = bench_size_params(dtype, pooling, n_heads)
+           st.sampled_from([1, 2, 4]), st.sampled_from([1e-3, 1.0, 30.0, 1e4, 1e6]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_train_body(self, b, dtype, n_heads, scale, seed):
+        params = bench_size_params(dtype, n_heads)
         x = np.random.default_rng(seed).standard_normal((b, 5, FEATURE_DIM)) * scale
         p, logit = self.p_and_logit(x, params, "infer")
         p_train, logit_train = self.p_and_logit(x, params, "train")
@@ -403,7 +402,7 @@ class TestInferBody:
     def test_generator_untouched(self):
         # only train mode draws masks: given a Generator at dropout 0.5, an
         # infer forward scores as one without and leaves the Generator as it was
-        cfg = ModelConfig(d_in=FEATURE_DIM, d_h=16, n_heads=2, d_ff=12, dropout=0.5)
+        cfg = ModelConfig(d_h=16, n_heads=2, d_ff=12, dropout=0.5)
         params = init_params(cfg, seed=17)
         x = np.random.default_rng(17).standard_normal((3, 5, FEATURE_DIM))
         rng = np.random.default_rng(18)
@@ -416,13 +415,13 @@ class TestInferBody:
 
     def test_cache_holds_only_the_outputs(self):
         p, cache = forward_batch(np.ones((2, 5, FEATURE_DIM)),
-                                 bench_size_params("float64", "mean", 2))
+                                 bench_size_params("float64", 2))
         assert set(cache) == {"logit", "p", "mode"}
         assert cache["p"] is p and cache["mode"] == "infer"
 
     def test_b256_float32_peak_allocation(self):
         # 39.4e6 bytes when inference kept the train-mode caches, 9.7e6 without
-        params = bench_size_params("float32", "mean", 2)
+        params = bench_size_params("float32", 2)
         x = np.random.default_rng(3).standard_normal((256, 5, FEATURE_DIM)).astype(np.float32)
         tracemalloc.start()
         try:
@@ -451,7 +450,7 @@ class TestBackward:
         np.testing.assert_allclose(p - y, 0.0)
 
     def test_unused_input_weights_get_zero_gradient(self):
-        cfg = ModelConfig(d_in=FEATURE_DIM, d_h=16, n_heads=2, d_ff=12, dropout=0.0)
+        cfg = ModelConfig(d_h=16, n_heads=2, d_ff=12, dropout=0.0)
         params = init_params(cfg, seed=12)
         x = np.zeros((2, 5, FEATURE_DIM))
         _, cache = forward_batch(x, params, mode="train",
@@ -462,16 +461,16 @@ class TestBackward:
         assert abs(grads["head.b2"]).sum() > 0
 
     def test_backward_requires_train_cache(self):
-        cfg = ModelConfig(d_in=FEATURE_DIM, d_h=16, n_heads=2, d_ff=12, dropout=0.0)
+        cfg = ModelConfig(d_h=16, n_heads=2, d_ff=12, dropout=0.0)
         params = init_params(cfg, seed=13)
         _, cache = forward_batch(np.zeros((1, 5, FEATURE_DIM)), params)
         with pytest.raises(ModelError):
             backward_batch(cache, np.array([1.0]), params)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("pooling,dropout", [("mean", 0.5), ("last", 0.0)])
-    def test_one_gradient_per_tensor(self, dtype, pooling, dropout):
-        cfg = ModelConfig(d_h=16, n_heads=2, d_ff=12, dropout=dropout, pooling=pooling)
+    @pytest.mark.parametrize("dropout", [0.5, 0.0])
+    def test_one_gradient_per_tensor(self, dtype, dropout):
+        cfg = ModelConfig(d_h=16, n_heads=2, d_ff=12, dropout=dropout)
         params = init_params(cfg, seed=24, dtype=dtype)
         x = np.random.default_rng(25).standard_normal((3, 5, FEATURE_DIM))
         _, cache = forward_batch(x, params, mode="train", rng=np.random.default_rng(26))
@@ -504,9 +503,9 @@ class TestBackward:
         assert peak <= 8.5e6
 
     def test_finite_differences_small_model(self):
-        cfg = ModelConfig(d_in=6, d_h=8, n_heads=2, d_ff=10, dropout=0.5)
+        cfg = ModelConfig(d_h=8, n_heads=2, d_ff=10, dropout=0.5)
         params = init_params(cfg, seed=14)
-        x = np.random.default_rng(15).standard_normal((2, 5, 6))
+        x = np.random.default_rng(15).standard_normal((2, 5, FEATURE_DIM))
         y = np.array([1.0, 0.0])
 
         def loss():
@@ -550,7 +549,7 @@ class TestLoss:
 
 class TestSerialization:
     def test_round_trip_byte_identical_float64(self, tmp_path):
-        cfg = ModelConfig(d_in=FEATURE_DIM, d_h=16, n_heads=2, d_ff=12)
+        cfg = ModelConfig(d_h=16, n_heads=2, d_ff=12)
         params = init_params(cfg, seed=18)
         p1 = tmp_path / "w1.json"
         save_params(params, p1)
@@ -560,7 +559,7 @@ class TestSerialization:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_round_trip_exact_float32(self, tmp_path):
-        cfg = ModelConfig(d_in=FEATURE_DIM, d_h=16, n_heads=2, d_ff=12)
+        cfg = ModelConfig(d_h=16, n_heads=2, d_ff=12)
         params = init_params(cfg, seed=19).astype(np.float32)
         path = tmp_path / "w32.json"
         save_params(params, path)
@@ -570,15 +569,14 @@ class TestSerialization:
             np.testing.assert_array_equal(a, b)
 
     def test_config_round_trips(self, tmp_path):
-        cfg = ModelConfig(d_in=FEATURE_DIM, d_h=32, n_heads=4, d_ff=24,
-                          dropout=0.25, pooling="last")
+        cfg = ModelConfig(d_h=32, n_heads=4, d_ff=24, dropout=0.25)
         params = init_params(cfg, seed=20)
         path = tmp_path / "w.json"
         save_params(params, path)
         assert load_params(path).config == cfg
 
     def test_loaded_params_produce_identical_outputs(self, tmp_path):
-        cfg = ModelConfig(d_in=FEATURE_DIM, d_h=16, n_heads=2, d_ff=12)
+        cfg = ModelConfig(d_h=16, n_heads=2, d_ff=12)
         params = init_params(cfg, seed=21)
         path = tmp_path / "w.json"
         save_params(params, path)
@@ -596,10 +594,9 @@ class TestSerialization:
             assert n == base
 
     @pytest.mark.parametrize("dtype", WEIGHT_DTYPES)
-    @pytest.mark.parametrize("pooling", ["mean", "last"])
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
-    def test_flat_and_config_round_trip(self, tmp_path, dtype, pooling, n_heads):
-        cfg = ModelConfig(d_h=8, n_heads=n_heads, d_ff=6, dropout=0.25, pooling=pooling)
+    def test_flat_and_config_round_trip(self, tmp_path, dtype, n_heads):
+        cfg = ModelConfig(d_h=8, n_heads=n_heads, d_ff=6, dropout=0.25)
         params = init_params(cfg, seed=n_heads, dtype=np.dtype(dtype))
         path = tmp_path / "w.bin"
         save_params(params, path)
@@ -611,7 +608,7 @@ class TestSerialization:
     @staticmethod
     def saved_file(tmp_path, dtype=np.float64):
         """(params, path, header, payload) of a small model saved to a file."""
-        cfg = ModelConfig(d_in=FEATURE_DIM, d_h=16, n_heads=2, d_ff=12)
+        cfg = ModelConfig(d_h=16, n_heads=2, d_ff=12)
         params = init_params(cfg, seed=23).astype(dtype)
         path = tmp_path / "w.bin"
         save_params(params, path)
@@ -632,6 +629,33 @@ class TestSerialization:
         header.update(version=2, flat=base64.b64encode(payload).decode("ascii"))
         path.write_text(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
         with pytest.raises(ModelError, match="version 2"):
+            load_params(path)
+
+    def test_version_3_file_refused(self, tmp_path):
+        # version 3's config also held d_in and pooling
+        _, path, header, payload = self.saved_file(tmp_path)
+        header["version"] = 3
+        header["config"].update(d_in=FEATURE_DIM, pooling="mean")
+        write_weight_file(path, header, payload)
+        with pytest.raises(ModelError, match="version 3"):
+            load_params(path)
+
+    def test_d_in_in_config_refused(self, tmp_path):
+        # the buffer of a model over 4 input slots: the layout hash pins the
+        # 16-slot features, not the config, so a version-3 reader loaded this
+        # file and the first window of a stream then failed
+        params, path, header, payload = self.saved_file(tmp_path)
+        header["config"]["d_in"] = 4
+        narrow = 3 * (FEATURE_DIM - 4) * params.config.d_h * params.flat.itemsize
+        write_weight_file(path, header, payload[narrow:])
+        with pytest.raises(ModelError, match="unknown weight file config .*'d_in'"):
+            load_params(path)
+
+    def test_pooling_in_config_refused(self, tmp_path):
+        _, path, header, payload = self.saved_file(tmp_path)
+        header["config"]["pooling"] = "mean"
+        write_weight_file(path, header, payload)
+        with pytest.raises(ModelError, match="unknown weight file config .*'pooling'"):
             load_params(path)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -731,11 +755,12 @@ class TestSerialization:
         assert loaded.flat[-1] == 3.0
 
     def test_golden_file_small_float64(self, tmp_path):
-        # no BLAS runs in init_params or in the writer: the same bytes on any host
+        # no BLAS runs in init_params or in the writer: the same bytes on any host.
+        # The payload is test_golden_init_small_float64's buffer
         path = tmp_path / "w.bin"
         save_params(init_params(ModelConfig(d_h=16, n_heads=2, d_ff=12), seed=0), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-            "974904d24fab440be328a32673462856e818912ecdb8612b47ffb88f9b5a3ea7"
+            "00fae6dc5ee02eb30002d136ca43a2b5b25ae137ceaec201437d152b69603fd9"
 
     def test_bench_float32_load_peak_allocation(self, tmp_path):
         # the peak is the buffer (4.58e6), the header line and one block of
@@ -804,7 +829,7 @@ class TestParameterBuffer:
         assert params_digest(params) == \
             "9b38c2dda2e664b9092dd853c8c88cf4cdceb12e43b92c739a60f1a0f64e2d82"
 
-    @pytest.mark.parametrize("field", ["d_in", "d_h", "n_heads", "d_ff"])
+    @pytest.mark.parametrize("field", ["d_h", "n_heads", "d_ff"])
     @pytest.mark.parametrize("value", [True, np.True_])
     def test_bool_dimension_refused(self, field, value):
         with pytest.raises(ModelError, match="positive integers"):
@@ -816,18 +841,16 @@ class TestParameterBuffer:
             ModelConfig(d_h=np.int64(8), n_heads=2, d_ff=4)
 
     def test_wrong_buffer_size_refused(self):
-        cfg = ModelConfig(d_in=4, d_h=4, n_heads=2, d_ff=4)
+        cfg = ModelConfig(d_h=4, n_heads=2, d_ff=4)
         n = init_params(cfg).n_params()
         with pytest.raises(ModelError):
             ModelParams(cfg, np.zeros(n + 1))
 
     @settings(max_examples=40, deadline=None)
-    @given(d_in=st.integers(1, 8), n_heads=st.integers(1, 3), d_k=st.integers(1, 4),
-           d_ff=st.integers(1, 8), pooling=st.sampled_from(["mean", "last"]),
+    @given(n_heads=st.integers(1, 3), d_k=st.integers(1, 4), d_ff=st.integers(1, 8),
            dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
-    def test_views_tile_the_buffer(self, d_in, n_heads, d_k, d_ff, pooling, dtype, seed):
-        cfg = ModelConfig(d_in=d_in, d_h=n_heads * d_k, n_heads=n_heads, d_ff=d_ff,
-                          pooling=pooling)
+    def test_views_tile_the_buffer(self, n_heads, d_k, d_ff, dtype, seed):
+        cfg = ModelConfig(d_h=n_heads * d_k, n_heads=n_heads, d_ff=d_ff)
         params = init_params(cfg, seed=seed, dtype=dtype)
         base = params.flat.__array_interface__["data"][0]
         cursor = 0

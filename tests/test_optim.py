@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from crosswise.model import ModelConfig, init_params
-from crosswise.optim import (LR_FLOOR, PLATEAU_THRESHOLD, AdamWConfig, AdamWState,
-                             PlateauScheduler, adamw_step, clip_gradients, global_grad_norm)
+from crosswise.optim import (LR_FLOOR, PLATEAU_THRESHOLD, AdamWState, PlateauScheduler,
+                             adamw_step, clip_gradients, global_grad_norm)
 
 
 def tiny_params(seed=0):
-    cfg = ModelConfig(d_in=4, d_h=8, n_heads=2, d_ff=6, dropout=0.0)
+    cfg = ModelConfig(d_h=8, n_heads=2, d_ff=6, dropout=0.0)
     return init_params(cfg, seed=seed)
 
 
@@ -19,8 +19,7 @@ class TestAdamW:
     def test_pure_decay_scaling(self):
         params = tiny_params(seed=1)
         before = {n: t.copy() for n, t in params.named_tensors()}
-        cfg = AdamWConfig(lr=2.5e-4, weight_decay=1e-4)
-        adamw_step(params, zero_grads(params), AdamWState.init(params), cfg)
+        adamw_step(params, zero_grads(params), AdamWState.init(params), 2.5e-4, 1e-4)
         factor = 1.0 - 2.5e-4 * 1e-4
         for name, t in params.named_tensors():
             np.testing.assert_array_equal(t, before[name] * factor)
@@ -28,36 +27,34 @@ class TestAdamW:
     def test_unit_step_property(self):
         # with wd=0 and a constant gradient, |update| approaches lr
         params = tiny_params(seed=2)
-        cfg = AdamWConfig(lr=2.5e-4, weight_decay=0.0)
+        lr = 2.5e-4
         state = AdamWState.init(params)
         grads = {n: np.full_like(t, 0.37) for n, t in params.named_tensors()}
         prev = None
         for _ in range(1000):
             prev = {n: t.copy() for n, t in params.named_tensors()}
-            adamw_step(params, {n: g.copy() for n, g in grads.items()}, state, cfg)
+            adamw_step(params, {n: g.copy() for n, g in grads.items()}, state, lr, 0.0)
         for name, t in params.named_tensors():
             delta = np.abs(t - prev[name])
-            np.testing.assert_allclose(delta, cfg.lr, rtol=0.01)
+            np.testing.assert_allclose(delta, lr, rtol=0.01)
 
     def test_non_finite_gradient_rejected(self):
         params = tiny_params(seed=3)
         grads = zero_grads(params)
         grads["head.w1"][0, 0] = np.nan
-        cfg = AdamWConfig(lr=2.5e-4, weight_decay=1e-4)
         with pytest.raises(FloatingPointError):
-            adamw_step(params, grads, AdamWState.init(params), cfg)
+            adamw_step(params, grads, AdamWState.init(params), 2.5e-4, 1e-4)
 
     def test_identical_runs_bit_identical(self):
         results = []
         for _ in range(2):
             params = tiny_params(seed=4)
             state = AdamWState.init(params)
-            cfg = AdamWConfig(lr=2.5e-4, weight_decay=1e-4)
             rng = np.random.default_rng(9)
             for _ in range(20):
                 grads = {n: rng.standard_normal(t.shape)
                          for n, t in params.named_tensors()}
-                adamw_step(params, grads, state, cfg)
+                adamw_step(params, grads, state, 2.5e-4, 1e-4)
             results.append({n: t.copy() for n, t in params.named_tensors()})
         for name in results[0]:
             np.testing.assert_array_equal(results[0][name], results[1][name])
@@ -65,9 +62,8 @@ class TestAdamW:
     def test_step_counter(self):
         params = tiny_params(seed=5)
         state = AdamWState.init(params)
-        cfg = AdamWConfig(lr=2.5e-4, weight_decay=1e-4)
-        adamw_step(params, zero_grads(params), state, cfg)
-        adamw_step(params, zero_grads(params), state, cfg)
+        adamw_step(params, zero_grads(params), state, 2.5e-4, 1e-4)
+        adamw_step(params, zero_grads(params), state, 2.5e-4, 1e-4)
         assert state.step == 2
 
 

@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import socket
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -419,6 +421,17 @@ class TestRun:
         assert lines
         assert all(len(obj["rows"]) == 5 and len(obj["rows"][0]) == 16
                    for obj in lines)
+
+    def test_unopenable_dump_path_closes_the_predictions_file(self, geometry, small_model,
+                                                              tmp_path):
+        # the predictions file is opened first, so the dump path's failure must close it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(FileNotFoundError):
+                run([], geometry, small_model, predictions_path=tmp_path / "p.jsonl",
+                    dump_features_path=tmp_path / "missing" / "f.jsonl")
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestUdpAlerts:
