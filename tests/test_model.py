@@ -594,8 +594,9 @@ class TestSerialization:
             assert n == base
 
     @pytest.mark.parametrize("dtype", WEIGHT_DTYPES)
+    @pytest.mark.parametrize("window", ["mean", "last"])
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
-    def test_flat_and_config_round_trip(self, tmp_path, dtype, n_heads):
+    def test_flat_and_config_round_trip(self, tmp_path, dtype, window, n_heads):
         cfg = ModelConfig(d_h=8, n_heads=n_heads, d_ff=6, dropout=0.25)
         params = init_params(cfg, seed=n_heads, dtype=np.dtype(dtype))
         path = tmp_path / "w.bin"
@@ -604,6 +605,12 @@ class TestSerialization:
         assert loaded.config == cfg
         assert loaded.flat.dtype == params.flat.dtype
         assert loaded.flat.tobytes() == params.flat.tobytes()
+        # "mean" pools the encoder over a whole window; "last" feeds its last
+        # step alone, where the mean over one step is that step
+        x = np.random.default_rng(n_heads).standard_normal((2, 5, FEATURE_DIM))
+        x = x if window == "mean" else x[:, -1:]
+        np.testing.assert_array_equal(forward_batch(x, params)[0],
+                                      forward_batch(x, loaded)[0])
 
     @staticmethod
     def saved_file(tmp_path, dtype=np.float64):
