@@ -164,8 +164,10 @@ class IntersectionGeometry:
     """Declared zones of interest for one camera view.
 
     ``crop_rect`` is the (x, y, w, h) region handed to the pose model; it must
-    contain every waiting-area polygon. ``px_per_meter`` converts speeds to
-    m/s when present, otherwise speeds stay in normalized pixel units.
+    contain every waiting-area polygon, of which there is at least one.
+    ``frame_size`` (W, H) normalizes positions, distances and areas.
+    ``px_per_meter`` converts speeds to m/s when present, otherwise speeds
+    are normalized by the frame diagonal.
     """
 
     waiting_areas: tuple[Zone, ...]
@@ -174,8 +176,8 @@ class IntersectionGeometry:
     crosswalk_entries: dict[str, Point]
     crop_rect: tuple[float, float, float, float]
     fps: int
+    frame_size: tuple[float, float]
     px_per_meter: Optional[float] = None
-    frame_size: tuple[float, float] = field(default=(0.0, 0.0))
     frame_diagonal: float = field(init=False, repr=False, compare=False)  # of frame_size
 
     def __post_init__(self):
@@ -185,8 +187,12 @@ class IntersectionGeometry:
             raise GeometryError(f"px_per_meter must be at least {MIN_PX_PER_METER} "
                                 f"when set, got {self.px_per_meter}")
         cx, cy, cw, ch = self.crop_rect
-        if cw <= 0 or ch <= 0:
-            raise GeometryError("crop_rect must have positive size")
+        if not (-COORD_LIMIT <= cx <= COORD_LIMIT and -COORD_LIMIT <= cy <= COORD_LIMIT
+                and 0 < cw <= COORD_LIMIT and 0 < ch <= COORD_LIMIT):
+            raise GeometryError(f"crop_rect x and y must lie within +-{COORD_LIMIT:g} and its "
+                                f"sides in (0, {COORD_LIMIT:g}], got {self.crop_rect}")
+        if not self.waiting_areas:
+            raise GeometryError("waiting_areas must hold at least one zone")
         for key in ("waiting_areas", "start_crossing_zones", "crossing_zones"):
             for zone in getattr(self, key):
                 if type(zone.zone_id) is not str:
@@ -214,8 +220,6 @@ class IntersectionGeometry:
                    for q in self.crosswalk_entries.values() for v in q):
             raise GeometryError(f"crosswalk_entries must lie within +-{COORD_LIMIT:g}, "
                                 f"got {self.crosswalk_entries}")
-        if self.frame_size == (0.0, 0.0):
-            object.__setattr__(self, "frame_size", self._default_frame_size())
         if not (self.frame_size[0] >= MIN_FRAME_SIDE and self.frame_size[1] >= MIN_FRAME_SIDE):
             raise GeometryError(f"frame_size sides must be at least {MIN_FRAME_SIDE} px, "
                                 f"got {self.frame_size}")
@@ -233,14 +237,6 @@ class IntersectionGeometry:
             (z, ZoneKind(kind, z.zone_id, z.label)) for zones, kind in tiers for z in zones))
         object.__setattr__(self, "_compactness", tuple(
             z.area / self.frame_area for z in self.waiting_areas))
-
-    def _default_frame_size(self) -> tuple[float, float]:
-        xs = [self.crop_rect[0] + self.crop_rect[2]]
-        ys = [self.crop_rect[1] + self.crop_rect[3]]
-        for zone in (*self.waiting_areas, *self.start_crossing_zones, *self.crossing_zones):
-            xs.extend(p[0] for p in zone.polygon)
-            ys.extend(p[1] for p in zone.polygon)
-        return (float(math.ceil(max(xs))), float(math.ceil(max(ys))))
 
     @property
     def frame_area(self) -> float:
@@ -268,10 +264,10 @@ class IntersectionGeometry:
             raise GeometryError(f"point {p} outside crop bounds {cw}x{ch}")
         return (cx + x, cy + y)
 
-    def _waiting_index(self, p: Point) -> Optional[int]:
+    def _waiting_index(self, p: Point) -> int:
         waiting = self.waiting_areas
-        if len(waiting) < 2:  # the one area serves every point
-            return 0 if waiting else None
+        if len(waiting) == 1:  # the one area serves every point
+            return 0
         for i, zone in enumerate(waiting):
             if zone.contains(p):
                 return i
@@ -279,9 +275,8 @@ class IntersectionGeometry:
 
     def waiting_compactness(self, p: Point) -> float:
         """Area over frame area of the waiting area containing p, else of the
-        nearest one by centroid; 0.0 without waiting areas."""
-        i = self._waiting_index(p)
-        return 0.0 if i is None else self._compactness[i]
+        nearest one by centroid."""
+        return self._compactness[self._waiting_index(p)]
 
     # --- config file -----------------------------------------------------
 
@@ -311,7 +306,7 @@ class IntersectionGeometry:
 
         entries = {k: json_floats(v, f"crosswalk_entries {k}", 2, GeometryError) for k, v
                    in json_value(cfg, "crosswalk_entries", dict, what, GeometryError).items()}
-        px_per_meter, frame_size = cfg.get("px_per_meter"), cfg.get("frame_size")
+        px_per_meter = cfg.get("px_per_meter")
         return cls(
             waiting_areas=zones("waiting_areas"),
             start_crossing_zones=zones("start_crossing_zones"),
@@ -322,8 +317,7 @@ class IntersectionGeometry:
             px_per_meter=(float(check_json_number(px_per_meter, "px_per_meter",
                                                   error=GeometryError))
                           if px_per_meter is not None else None),
-            frame_size=(json_floats(frame_size, "frame_size", 2, GeometryError)
-                        if frame_size else (0.0, 0.0)),
+            frame_size=json_floats(cfg.get("frame_size"), "frame_size", 2, GeometryError),
         )
 
     @classmethod

@@ -273,7 +273,8 @@ def run(records: Iterable[FrameRecord], geometry: IntersectionGeometry,
         dump_features_path: Optional[str | Path] = None) -> dict:
     """Consume a stream to exhaustion; write predictions; emit alerts.
 
-    Returns the exit summary (track/alert counts and per-frame latency).
+    Returns the exit summary: track and alert counts, the most tracks live on
+    one frame, and per-frame latency.
     """
     pipe = Pipeline(geometry, params)
     n_frames = 0
@@ -281,6 +282,7 @@ def run(records: Iterable[FrameRecord], geometry: IntersectionGeometry,
     n_alerts = 0
     step_ms_sum = 0.0  # running values: the summary must not grow with the stream
     step_ms_max = 0.0
+    max_live = 0
     with contextlib.ExitStack() as files:
         preds_fh, feats_fh = (files.enter_context(open(path, "w", encoding="utf-8"))
                               if path else None
@@ -292,6 +294,7 @@ def run(records: Iterable[FrameRecord], geometry: IntersectionGeometry,
             ms = (time.perf_counter() - s0) * 1000.0
             step_ms_sum += ms
             step_ms_max = max(step_ms_max, ms)
+            max_live = max(max_live, len(pipe.table.tracks))
             n_frames += 1
             for pred in out.predictions:
                 n_preds += 1
@@ -313,6 +316,7 @@ def run(records: Iterable[FrameRecord], geometry: IntersectionGeometry,
     return {
         "frames": n_frames,
         "tracks_created": pipe.table.tracks_created,
+        "max_concurrent_tracks": max_live,
         "predictions": n_preds,
         "alerts": n_alerts,
         "mean_step_ms": step_ms_sum / n_frames if n_frames else 0.0,
@@ -324,7 +328,7 @@ def run(records: Iterable[FrameRecord], geometry: IntersectionGeometry,
 
 def bench(records: list[FrameRecord], geometry: IntersectionGeometry,
           params: ModelParams, forward_reps: int = 200) -> dict:
-    """End-to-end FPS over a prepared stream plus isolated forward latency.
+    """End-to-end FPS of ``run`` over a prepared stream plus isolated forward latency.
 
     The forward latency is measured at the 32-bit deployment profile, at B=1
     (p50 and p99) and as the per-call median at each of BENCH_BATCH_SIZES. The
@@ -346,18 +350,11 @@ def bench(records: list[FrameRecord], geometry: IntersectionGeometry,
             ms.append((time.perf_counter() - t0) * 1000.0)
     lat_ms = by_batch[1]
 
-    pipe = Pipeline(geometry, params32)
-    max_live = 0
-    t0 = time.perf_counter()
-    for rec in records:
-        pipe.step(rec)
-        max_live = max(max_live, len(pipe.table.tracks))
-    wall = time.perf_counter() - t0
-
+    summary = run(records, geometry, params32)
     return {
-        "frames": len(records),
-        "end_to_end_fps": len(records) / wall if wall > 0 else 0.0,
-        "max_concurrent_tracks": max_live,
+        "frames": summary["frames"],
+        "end_to_end_fps": summary["fps"],
+        "max_concurrent_tracks": summary["max_concurrent_tracks"],
         "forward_ms_p50": float(np.percentile(lat_ms, 50)),
         "forward_ms_p99": float(np.percentile(lat_ms, 99)),
         "forward_ms_p50_by_batch": {str(b): float(np.median(ms))

@@ -278,9 +278,8 @@ def geometries(draw):
         crop_rect=(cx - left, cy - top, cw + left + right, ch + top + bottom),
         fps=draw(st.integers(1, MAX_FPS)),
         px_per_meter=draw(st.none() | st.floats(MIN_PX_PER_METER, 1e6)),
-        frame_size=draw(st.just((0.0, 0.0))
-                        | st.tuples(st.floats(MIN_FRAME_SIDE, 1e5),
-                                    st.floats(MIN_FRAME_SIDE, 1e5))))
+        frame_size=draw(st.tuples(st.floats(MIN_FRAME_SIDE, 1e5),
+                                  st.floats(MIN_FRAME_SIDE, 1e5))))
 
 
 class TestGeometryValidation:
@@ -291,7 +290,7 @@ class TestGeometryValidation:
                 start_crossing_zones=geometry.start_crossing_zones,
                 crossing_zones=geometry.crossing_zones,
                 crosswalk_entries=geometry.crosswalk_entries,
-                crop_rect=geometry.crop_rect, fps=0)
+                crop_rect=geometry.crop_rect, fps=0, frame_size=geometry.frame_size)
 
     def test_crop_must_contain_waiting_area(self, geometry):
         with pytest.raises(GeometryError, match="crop_rect"):
@@ -300,7 +299,7 @@ class TestGeometryValidation:
                 start_crossing_zones=geometry.start_crossing_zones,
                 crossing_zones=geometry.crossing_zones,
                 crosswalk_entries=geometry.crosswalk_entries,
-                crop_rect=(0.0, 0.0, 50.0, 50.0), fps=20)
+                crop_rect=(0.0, 0.0, 50.0, 50.0), fps=20, frame_size=geometry.frame_size)
 
     def test_crossing_labels_required(self, geometry):
         unlabeled = tuple(Zone(z.zone_id, z.polygon, None)
@@ -311,7 +310,7 @@ class TestGeometryValidation:
                 start_crossing_zones=geometry.start_crossing_zones,
                 crossing_zones=unlabeled,
                 crosswalk_entries=geometry.crosswalk_entries,
-                crop_rect=geometry.crop_rect, fps=20)
+                crop_rect=geometry.crop_rect, fps=20, frame_size=geometry.frame_size)
 
     @pytest.mark.parametrize("frame_size", [(1280.0, 0.0), (-1.0, 720.0)])
     def test_frame_size_must_be_positive(self, geometry, frame_size):
@@ -357,12 +356,40 @@ class TestGeometryValidation:
         loaded = IntersectionGeometry.load(path)
         assert loaded == geometry
 
-    def test_frame_size_defaults_to_extent(self, geometry):
+    @pytest.mark.parametrize("change", [
+        {"frame_size": None}, {"frame_size": [0, 0]},
+        # no size is guessed, here from a crop too large to round up
+        {"frame_size": None, "waiting_areas": [], "crop_rect": [1e308, 0, 1e308, 100]}],
+        ids=["missing", "zero", "missing_with_huge_crop"])
+    def test_frame_size_required(self, geometry, change):
+        # the frame size scales five feature slots, six without px_per_meter
+        cfg = {k: v for k, v in {**geometry.to_dict(), **change}.items() if v is not None}
+        with pytest.raises(GeometryError, match="frame_size"):
+            IntersectionGeometry.from_dict(cfg)
+
+    def test_waiting_area_required(self, geometry):
         cfg = geometry.to_dict()
-        del cfg["frame_size"]
-        g = IntersectionGeometry.from_dict(cfg)
-        assert g.frame_size[0] >= 720.0  # crop right edge
-        assert g.frame_size[1] >= 580.0
+        cfg["waiting_areas"] = []
+        with pytest.raises(GeometryError, match="waiting_areas"):
+            IntersectionGeometry.from_dict(cfg)
+        with pytest.raises(GeometryError, match="waiting_areas"):
+            replace(geometry, waiting_areas=())
+
+    @pytest.mark.parametrize("crop", [
+        (-1e300, -1e300, 3e300, 3e300), (-2e7, 0.0, 3e7, 1e3), (0.0, -1e300, 1e3, 2e300),
+        (0.0, 0.0, 1.0000001e7, 1e3), (0.0, 0.0, 1e3, 2e7)])
+    def test_crop_held_to_camera_scale(self, geometry, crop):
+        # every crop here contains the waiting area; a crop of 1e300 px binds no pose
+        with pytest.raises(GeometryError, match="crop_rect x and y"):
+            replace(geometry, crop_rect=crop)
+        cfg = geometry.to_dict()
+        cfg["crop_rect"] = list(crop)
+        with pytest.raises(GeometryError, match="crop_rect x and y"):
+            IntersectionGeometry.from_dict(cfg)
+
+    def test_crop_at_camera_scale_accepted(self, geometry):
+        g = replace(geometry, crop_rect=(0.0, 0.0, COORD_LIMIT, COORD_LIMIT))
+        assert g.crop_to_full((COORD_LIMIT, 0.0)) == (COORD_LIMIT, 0.0)
 
     @given(geometries())
     def test_saved_config_loads_back(self, g):
@@ -625,15 +652,6 @@ class TestWaitingCompactnessMatchesLegacyWalk:
     @given(two_wait_points)
     def test_one_area(self, p):
         self.check(DEMO, p)
-
-    def test_no_waiting_area(self):
-        g = demo_geometry()
-        g0 = IntersectionGeometry(
-            waiting_areas=(), start_crossing_zones=g.start_crossing_zones,
-            crossing_zones=g.crossing_zones, crosswalk_entries=g.crosswalk_entries,
-            crop_rect=g.crop_rect, fps=g.fps, frame_size=g.frame_size)
-        assert g0.waiting_compactness((600.0, 480.0)) == 0.0
-        assert g0._waiting_index((600.0, 480.0)) is None
 
 
 class TestCachedAttributes:

@@ -9,9 +9,12 @@ ModelError.
 """
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import json
 import math
+import operator
 import re
 import tempfile
 from dataclasses import asdict
@@ -219,16 +222,46 @@ NUMBER = re.compile(rb"(?<=[\[:,\s])-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?(?=[,\]}\s])
 KEY = re.compile(rb'"(\w+)":')  # an object key, as the writers put it
 
 
+def json_places(value, path=(), name=None):
+    """(path, value, name) of every value nested in the JSON ``value``, where
+    ``name`` is the last object key on the path."""
+    items = (value.items() if type(value) is dict
+             else enumerate(value) if type(value) is list else ())
+    for k, v in items:
+        here, key = (*path, k), k if type(k) is str else name
+        yield here, v, key
+        yield from json_places(v, here, key)
+
+
 @st.composite
 def mutated(draw, data: bytes, text_end: int, lines: bool = False):
     """``data`` with one edit: a number becomes +-1e400 or a long integer, a
     number is nested 10^4 deep, the tail is cut, a 0xff byte goes in, or a
     list replaces the top-level object (of one line, with ``lines``); with
-    ``lines``, a key may also lose its last letter, as "poses" to "pose".
-    Only the cut and the byte reach past the JSON text ``data[:text_end]``."""
+    ``lines``, a key may also lose its last letter, as "poses" to "pose";
+    without, a non-empty list becomes [] ("empty") or an object member is
+    removed ("drop"), and the text is encoded again. Only the cut and the
+    byte reach past the JSON text ``data[:text_end]``."""
     text, rest = data[:text_end], data[text_end:]
+    places = {"empty": [], "drop": []}
+    if not lines:
+        value = json.loads(text)
+        for path, v, name in json_places(value):
+            if type(v) is list and v:
+                places["empty"].append((name, path))
+            if type(path[-1]) is str:
+                places["drop"].append((name, path))
     edit = draw(st.sampled_from(["overflow", "nest", "cut", "byte", "list"]
-                                + ["rename"] * lines))
+                                + ["rename"] * lines + [e for e in places if places[e]]))
+    if edit in places:  # each key name equally likely, then one of its places
+        name = draw(st.sampled_from(sorted({n for n, _ in places[edit]})))
+        *parents, last = draw(st.sampled_from([p for n, p in places[edit] if n == name]))
+        target = functools.reduce(operator.getitem, parents, value)
+        if edit == "empty":
+            target[last] = []
+        else:
+            del target[last]
+        return json.dumps(value).encode() + rest
     if edit == "rename":  # each key name equally likely, then one of its places
         name = draw(st.sampled_from(sorted({m[1] for m in KEY.finditer(text)})))
         i = draw(st.sampled_from([m.end(1) for m in KEY.finditer(text) if m[1] == name]))
@@ -306,7 +339,10 @@ class TestEveryLoaderFailsWithItsError:
     @settings(max_examples=150)
     @given(data=mutated(GEOMETRY, len(GEOMETRY)))
     def test_geometry(self, scratch, data):
-        check_loader(scratch, data, IntersectionGeometry.load, GeometryError)
+        g = check_loader(scratch, data, IntersectionGeometry.load, GeometryError)
+        if g is not None:  # a geometry that loads simulates, or refuses with ValueError
+            with contextlib.suppress(ValueError):
+                generate_scenario(ScenarioSpec(n_vrus=2), g)
 
     @settings(max_examples=150)
     @given(data=mutated(SCENARIO, len(SCENARIO)))

@@ -387,11 +387,23 @@ class TestRun:
 
         monkeypatch.setattr(pipeline_mod.time, "perf_counter", clock)
         summary = run(small_scenario[0][:3], geometry, small_model)
-        assert set(summary) == {"frames", "tracks_created", "predictions", "alerts",
-                                "mean_step_ms", "max_step_ms", "wall_s", "fps"}
+        assert set(summary) == {"frames", "tracks_created", "max_concurrent_tracks",
+                                "predictions", "alerts", "mean_step_ms", "max_step_ms",
+                                "wall_s", "fps"}
         assert summary["frames"] == 3
         assert summary["mean_step_ms"] == pytest.approx(2.0)
         assert summary["max_step_ms"] == pytest.approx(3.0)
+
+    def test_max_concurrent_tracks_is_the_high_water_mark(self, geometry, small_model,
+                                                          small_scenario):
+        records = small_scenario[0][:400]
+        pipe = Pipeline(geometry, small_model)
+        live = []
+        for rec in records:
+            pipe.step(rec)
+            live.append(len(pipe.table.tracks))
+        assert max(live) > live[-1]  # the mark is not the count at the end
+        assert run(records, geometry, small_model)["max_concurrent_tracks"] == max(live)
 
     def test_prediction_file_schema(self, geometry, small_model, tmp_path,
                                     small_scenario):
